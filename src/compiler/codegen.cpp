@@ -5,6 +5,7 @@
 #include "support/assert.h"
 
 #include <algorithm>
+#include <atomic>
 
 using namespace etch;
 
@@ -86,7 +87,7 @@ Dest etch::hashDest(const ScalarAlgebra &Alg, std::string KeyArr,
               TabSize](ERef Index) -> std::tuple<PRef, Dest, PRef> {
     // One fresh slot variable per locate site; it lives across the nested
     // value's emission so the leaf can accumulate into the probed slot.
-    static int Counter = 0;
+    static std::atomic<int> Counter{0}; // lowerings run concurrently
     std::string H = "hsl" + std::to_string(Counter++);
     auto KeyAt = [&] {
       return EExpr::access(KeyArr, ImpType::I64, eVarI(H));
@@ -167,7 +168,7 @@ PRef etch::compileStream(const Dest &D, const SynRef &S) {
   // state that S->Index reads, so re-evaluating the raw expression inside
   // the search loop would chase a moving (eventually out-of-bounds) target.
   auto CallSkip = [&](const std::function<PRef(ERef)> &Skip) {
-    static int Counter = 0;
+    static std::atomic<int> Counter{0}; // lowerings run concurrently
     std::string T = "skc" + std::to_string(Counter++);
     return PStmt::seq2(PStmt::declVar(T, ImpType::I64, S->Index),
                        Skip(eVarI(T)));

@@ -4,6 +4,8 @@
 
 #include "support/assert.h"
 
+#include <atomic>
+
 using namespace etch;
 
 namespace {
@@ -64,7 +66,7 @@ SynRef cloneWith(const SynRef &S,
 /// loops mutate the state the index expression reads, so the target must
 /// be latched first.
 PRef skipWithSnapshot(const std::function<PRef(ERef)> &Skip, ERef Target) {
-  static int Counter = 0;
+  static std::atomic<int> Counter{0}; // lowerings run concurrently
   std::string T = "skt" + std::to_string(Counter++);
   return PStmt::seq2(PStmt::declVar(T, ImpType::I64, std::move(Target)),
                      Skip(eVarI(T)));

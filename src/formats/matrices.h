@@ -56,6 +56,24 @@ std::vector<CooEntry<V>> canonicalizeCoo(std::vector<CooEntry<V>> Coo) {
   return Out;
 }
 
+/// The sparse-vector counterpart: sorts (coordinate, value) entries by
+/// coordinate and sums duplicates (dropping zeros).
+template <typename V>
+std::vector<std::pair<Idx, V>>
+canonicalizeSparse(std::vector<std::pair<Idx, V>> Entries) {
+  std::sort(Entries.begin(), Entries.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  std::vector<std::pair<Idx, V>> Out;
+  for (const auto &E : Entries) {
+    if (!Out.empty() && Out.back().first == E.first)
+      Out.back().second += E.second;
+    else
+      Out.push_back(E);
+  }
+  std::erase_if(Out, [](const auto &E) { return E.second == V(); });
+  return Out;
+}
+
 /// CSR: for each of NumRows rows, columns Pos[i]..Pos[i+1) of (Crd, Val).
 template <typename V> struct CsrMatrix {
   Idx NumRows = 0, NumCols = 0;

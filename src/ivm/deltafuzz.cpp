@@ -145,10 +145,16 @@ struct ScenarioFinals {
 };
 
 struct Scenario {
-  Scenario(uint64_t Seed, ExecBackend EB, bool UseNative,
-           const std::string &JitCacheDir, const std::string &LegPrefix,
+  /// \p B names one executor (not Both), which every reading must report:
+  /// the tree leg forces the reference VM over bytecode plans, the
+  /// bytecode and native legs prepare plans for their own executor.
+  Scenario(uint64_t Seed, VmBackend B, const std::string &JitCacheDir,
            FuzzReport &Rep)
-      : R(mix(Seed, 0xde17a)), Plans(64), Leg(LegPrefix), Rep(Rep) {
+      : R(mix(Seed, 0xde17a)), Plans(64),
+        Executor(B == VmBackend::Tree     ? "tree"
+                 : B == VmBackend::Native ? "native"
+                                          : "bytecode"),
+        Leg("delta-driver/" + Executor), Rep(Rep) {
     const std::vector<Attr> &U = fuzzAttrUniverse();
     AI = U[0];
     AJ = U[1];
@@ -179,8 +185,8 @@ struct Scenario {
     Cat.putDense("d", std::move(Dv), AI);
 
     IvmOptions IO;
-    IO.Backend = EB;
-    IO.Prep.UseNative = UseNative;
+    IO.Backend = B == VmBackend::Tree ? ExecBackend::Tree : ExecBackend::Auto;
+    IO.Prep.UseNative = B == VmBackend::Native;
     IO.Prep.JitCacheDir = JitCacheDir;
     Drv = std::make_unique<MaintenanceDriver>(Cat, Plans, IO);
 
@@ -233,8 +239,7 @@ struct Scenario {
         Delta.push_back({Rr, Cc, 2.0});
         Delta.push_back({Rr, Cc, -2.0});
       }
-      for (const CooEntry<double> &E : canonicalizeCoo(Delta))
-        NonEmpty = NonEmpty || E.Val != 0.0;
+      NonEmpty = !canonicalizeCoo(Delta).empty();
       Cat.appendCsr("M", Delta);
       Drv->onAppendCsr("M", Delta, Pre, Cat.snapshot());
     } else {
@@ -250,13 +255,7 @@ struct Scenario {
                              static_cast<double>(nonZeroInt(R)));
         }
       }
-      std::map<Idx, double> Sum;
-      for (const auto &[I, X] : Delta)
-        Sum[I] += X;
-      for (const auto &[I, X] : Sum) {
-        (void)I;
-        NonEmpty = NonEmpty || X != 0.0;
-      }
+      NonEmpty = !canonicalizeSparse(Delta).empty();
       Cat.appendSparse("v", Delta);
       Drv->onAppendSparse("v", Delta, Pre, Cat.snapshot());
     }
@@ -268,27 +267,9 @@ struct Scenario {
                                 const Shape &GroupBy, bool *Ok) {
     CatalogSnapshotRef Snap = Cat.snapshot();
     ValueContext<F64Semiring> Ctx;
-    for (const std::string &F : Factors) {
-      if (Ctx.count(F))
-        continue;
-      CatalogTensorRef T = Snap->find(F);
-      switch (T->K) {
-      case CatalogTensor::Kind::Csr:
-        Ctx.emplace(F, T->Csr.toKRelation<F64Semiring>(T->Shp[0], T->Shp[1]));
-        break;
-      case CatalogTensor::Kind::Sparse:
-        Ctx.emplace(F, T->Sparse.toKRelation<F64Semiring>(T->Shp[0]));
-        break;
-      case CatalogTensor::Kind::Dense: {
-        KRelation<F64Semiring> Rel({T->Shp[0]});
-        for (size_t I = 0; I < T->Dense.Val.size(); ++I)
-          if (T->Dense.Val[I] != 0.0)
-            Rel.insert({static_cast<Idx>(I)}, T->Dense.Val[I]);
-        Ctx.emplace(F, std::move(Rel));
-        break;
-      }
-      }
-    }
+    for (const std::string &F : Factors)
+      if (!Ctx.count(F))
+        Ctx.emplace(F, relationOf(*Snap->find(F)));
     TypeContext Ty = typesOf(Ctx);
     std::string Err;
     ExprPtr E;
@@ -317,6 +298,10 @@ struct Scenario {
                       (Rc ? Rc->Error : "missing"));
         continue;
       }
+      if (Rd->Backend != Executor || Rc->Backend != Executor)
+        reportDiv(Rep, Leg + "/executor/" + Name,
+                  When + ": read on " + Rd->Backend + ", recomputed on " +
+                      Rc->Backend);
       if (std::memcmp(&Rd->Value, &Rc->Value, sizeof(double)) != 0)
         reportDiv(Rep, Leg + "/view/" + Name,
                   When + ": maintained=" + std::to_string(Rd->Value) +
@@ -428,6 +413,7 @@ struct Scenario {
   TensorCatalog Cat;
   PlanCache Plans;
   std::unique_ptr<MaintenanceDriver> Drv;
+  std::string Executor;
   std::string Leg;
   FuzzReport &Rep;
   Attr AI, AJ;
@@ -435,10 +421,9 @@ struct Scenario {
   std::vector<std::pair<std::string, std::vector<std::string>>> Views;
 };
 
-ScenarioFinals runScenario(uint64_t Seed, ExecBackend EB, bool UseNative,
-                           const std::string &JitCacheDir,
-                           const std::string &LegPrefix, FuzzReport &Rep) {
-  Scenario Sc(Seed, EB, UseNative, JitCacheDir, LegPrefix, Rep);
+ScenarioFinals runScenario(uint64_t Seed, VmBackend B,
+                           const std::string &JitCacheDir, FuzzReport &Rep) {
+  Scenario Sc(Seed, B, JitCacheDir, Rep);
   Sc.run();
   return Sc.finals();
 }
@@ -483,22 +468,14 @@ FuzzReport etch::runFuzzDeltaDriver(uint64_t Seed, VmBackend Backend,
   FuzzReport Rep;
   switch (Backend) {
   case VmBackend::Tree:
-    runScenario(Seed, ExecBackend::Tree, false, JitCacheDir,
-                "delta-driver/tree", Rep);
-    break;
   case VmBackend::Bytecode:
-    runScenario(Seed, ExecBackend::Bytecode, false, JitCacheDir,
-                "delta-driver/bytecode", Rep);
-    break;
   case VmBackend::Native:
-    runScenario(Seed, ExecBackend::Native, true, JitCacheDir,
-                "delta-driver/native", Rep);
+    runScenario(Seed, Backend, JitCacheDir, Rep);
     break;
   case VmBackend::Both: {
-    ScenarioFinals T = runScenario(Seed, ExecBackend::Tree, false, JitCacheDir,
-                                   "delta-driver/tree", Rep);
-    ScenarioFinals B = runScenario(Seed, ExecBackend::Bytecode, false,
-                                   JitCacheDir, "delta-driver/bytecode", Rep);
+    ScenarioFinals T = runScenario(Seed, VmBackend::Tree, JitCacheDir, Rep);
+    ScenarioFinals B =
+        runScenario(Seed, VmBackend::Bytecode, JitCacheDir, Rep);
     for (const auto &[Name, TV] : T.Scalars) {
       auto It = B.Scalars.find(Name);
       if (It == B.Scalars.end() ||

@@ -27,8 +27,9 @@
 ///     `evalT` oracle over the live catalog payloads. It also checks that
 ///     no payload carries a zero weight (deletion compaction) and that a
 ///     repeat round of batches runs without any planner enumeration
-///     (plan retention). `VmBackend::Both` runs the scenario under the
-///     tree and bytecode executors and cross-checks the two bit-for-bit.
+///     (plan retention), and that every reading reports the leg's
+///     executor. `VmBackend::Both` runs the scenario under the tree and
+///     bytecode executors and cross-checks the two bit-for-bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +55,8 @@ uint64_t fuzzDeltaBatchSeed(const FuzzCase &C);
 
 /// The serve-stack scenario for \p Seed under \p Backend. \p JitCacheDir
 /// overrides the JIT kernel cache for the native executor (callers verify
-/// toolchain availability first; a per-plan compile failure is reported
-/// as a divergence, never silently degraded).
+/// toolchain availability first; a plan that falls back to bytecode is
+/// reported as a divergence, never silently degraded).
 FuzzReport runFuzzDeltaDriver(uint64_t Seed, VmBackend Backend,
                               const std::string &JitCacheDir = "");
 

@@ -47,20 +47,12 @@ etch::deltaTensorSparse(const CatalogTensor &Base,
                         const std::vector<std::pair<Idx, double>> &Delta) {
   ETCH_ASSERT(Base.K == CatalogTensor::Kind::Sparse,
               "sparse delta over a non-sparse base");
-  std::vector<std::pair<Idx, double>> D = Delta;
-  std::sort(D.begin(), D.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  SparseVector<double> V(Base.Sparse.Size);
-  for (size_t I = 0; I < D.size();) {
-    Idx C = D[I].first;
-    double X = 0.0;
-    for (; I < D.size() && D[I].first == C; ++I)
-      X += D[I].second;
-    if (X != 0.0)
-      V.push(C, X);
-  }
-  if (V.nnz() == 0)
+  std::vector<std::pair<Idx, double>> D = canonicalizeSparse(Delta);
+  if (D.empty())
     return nullptr;
+  SparseVector<double> V(Base.Sparse.Size);
+  for (const auto &[C, X] : D)
+    V.push(C, X);
   auto T = std::make_shared<CatalogTensor>();
   T->Name = deltaFactorName(Base.Name);
   T->K = CatalogTensor::Kind::Sparse;
@@ -69,6 +61,22 @@ etch::deltaTensorSparse(const CatalogTensor &Base,
   T->Stats = statsOfSparseVector(T->Name, V, Base.Shp[0]);
   T->Sparse = std::move(V);
   return T;
+}
+
+KRelation<F64Semiring> etch::relationOf(const CatalogTensor &T) {
+  switch (T.K) {
+  case CatalogTensor::Kind::Csr:
+    return T.Csr.toKRelation<F64Semiring>(T.Shp[0], T.Shp[1]);
+  case CatalogTensor::Kind::Sparse:
+    return T.Sparse.toKRelation<F64Semiring>(T.Shp[0]);
+  case CatalogTensor::Kind::Dense:
+    break;
+  }
+  KRelation<F64Semiring> R(T.Shp);
+  for (Idx I = 0; I < T.Dense.Size; ++I)
+    if (T.Dense.Val[static_cast<size_t>(I)] != 0.0)
+      R.insert({I}, T.Dense.Val[static_cast<size_t>(I)]);
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -182,22 +190,7 @@ bool MaintenanceDriver::buildGrouped(Grouped &G,
       return false;
     }
     Ctx[F] = T->Shp;
-    switch (T->K) {
-    case CatalogTensor::Kind::Csr:
-      Vals[F] = T->Csr.toKRelation<F64Semiring>(T->Shp[0], T->Shp[1]);
-      break;
-    case CatalogTensor::Kind::Sparse:
-      Vals[F] = T->Sparse.toKRelation<F64Semiring>(T->Shp[0]);
-      break;
-    case CatalogTensor::Kind::Dense: {
-      KRelation<F64Semiring> R(T->Shp);
-      for (Idx I = 0; I < T->Dense.Size; ++I)
-        if (T->Dense.Val[static_cast<size_t>(I)] != 0.0)
-          R.insert({I}, T->Dense.Val[static_cast<size_t>(I)]);
-      Vals[F] = std::move(R);
-      break;
-    }
-    }
+    Vals[F] = relationOf(*T);
   }
 
   ExprPtr Prod;
@@ -442,7 +435,6 @@ void MaintenanceDriver::replaceScalar(ScalarView &V,
 
 void MaintenanceDriver::onBatch(const std::string &Name,
                                 const CatalogTensorRef &DeltaT,
-                                const KRelation<F64Semiring> &DeltaRel,
                                 const CatalogSnapshotRef &Pre,
                                 const CatalogSnapshotRef &Post) {
   std::lock_guard<std::mutex> L(Mu);
@@ -466,10 +458,15 @@ void MaintenanceDriver::onBatch(const std::string &Name,
       // the new epoch — readings stay snapshot-consistent.
       V.Epoch = Post->epoch();
   }
+  // Only grouped views read the batch as a K-relation; scalar-only
+  // tensors never pay for the conversion.
+  std::optional<KRelation<F64Semiring>> DeltaRel;
   for (auto &[_, G] : Groups)
     if (G.Ok && std::find(G.Factors.begin(), G.Factors.end(), Name) !=
                     G.Factors.end()) {
-      G.View.applyDelta(Name, DeltaRel);
+      if (!DeltaRel)
+        DeltaRel = relationOf(*DeltaT);
+      G.View.applyDelta(Name, *DeltaRel);
       ++Stats.GroupedRefreshes;
     }
 }
@@ -481,11 +478,7 @@ void MaintenanceDriver::onAppendCsr(const std::string &Name,
   CatalogTensorRef Base = Pre->find(Name);
   if (!Base || Base->K != CatalogTensor::Kind::Csr)
     return; // The catalog rejected the append; nothing changed.
-  CatalogTensorRef DeltaT = deltaTensorCsr(*Base, Delta);
-  KRelation<F64Semiring> Rel(Base->Shp);
-  if (DeltaT)
-    Rel = DeltaT->Csr.toKRelation<F64Semiring>(Base->Shp[0], Base->Shp[1]);
-  onBatch(Name, DeltaT, Rel, Pre, Post);
+  onBatch(Name, deltaTensorCsr(*Base, Delta), Pre, Post);
 }
 
 void MaintenanceDriver::onAppendSparse(
@@ -494,11 +487,7 @@ void MaintenanceDriver::onAppendSparse(
   CatalogTensorRef Base = Pre->find(Name);
   if (!Base || Base->K != CatalogTensor::Kind::Sparse)
     return;
-  CatalogTensorRef DeltaT = deltaTensorSparse(*Base, Delta);
-  KRelation<F64Semiring> Rel(Base->Shp);
-  if (DeltaT)
-    Rel = DeltaT->Sparse.toKRelation<F64Semiring>(Base->Shp[0]);
-  onBatch(Name, DeltaT, Rel, Pre, Post);
+  onBatch(Name, deltaTensorSparse(*Base, Delta), Pre, Post);
 }
 
 void MaintenanceDriver::onReplace(const std::string &Name,

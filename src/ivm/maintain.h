@@ -64,8 +64,8 @@ struct IvmOptions {
   /// and `Retain` forced on internally: retained plans are rebound across
   /// appends, and a hashed copy bakes a per-nnz table size.
   PrepareOptions Prep;
-  /// Executor for view refreshes (Auto = native when prepared, else
-  /// bytecode; the fuzz leg forces Tree / Bytecode / Native).
+  /// Executor for view refreshes: Auto runs the plan's own executor; the
+  /// fuzz leg forces Tree, with `Prep.UseNative` off.
   ExecBackend Backend = ExecBackend::Auto;
 };
 
@@ -190,7 +190,6 @@ private:
   bool buildGrouped(Grouped &G, const CatalogSnapshotRef &Snap,
                     std::string *Err);
   void onBatch(const std::string &Name, const CatalogTensorRef &DeltaT,
-               const KRelation<F64Semiring> &DeltaRel,
                const CatalogSnapshotRef &Pre, const CatalogSnapshotRef &Post);
 
   TensorCatalog &Catalog;
@@ -216,6 +215,10 @@ CatalogTensorRef deltaTensorCsr(const CatalogTensor &Base,
 CatalogTensorRef
 deltaTensorSparse(const CatalogTensor &Base,
                   const std::vector<std::pair<Idx, double>> &Delta);
+
+/// \p T's payload as a K-relation over its shape (the grouped-view and
+/// fuzz oracle representation).
+KRelation<F64Semiring> relationOf(const CatalogTensor &T);
 
 } // namespace etch
 

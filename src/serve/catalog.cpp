@@ -4,8 +4,6 @@
 
 #include "support/assert.h"
 
-#include <algorithm>
-
 using namespace etch;
 
 size_t CatalogTensor::nnz() const {
@@ -170,21 +168,12 @@ TensorCatalog::appendSparse(const std::string &Name,
   if (!Old || Old->K != CatalogTensor::Kind::Sparse)
     return 0;
   const SparseVector<double> &V = Old->Sparse;
-  // Canonicalize the delta (sort, sum duplicates), then merge the two
-  // sorted runs, dropping exact-zero sums.
-  std::vector<std::pair<Idx, double>> D = Delta;
-  std::sort(D.begin(), D.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  std::vector<std::pair<Idx, double>> DC;
-  DC.reserve(D.size());
-  for (size_t I = 0; I < D.size();) {
-    Idx C = D[I].first;
-    ETCH_ASSERT(C >= 0 && C < V.Size, "append coordinate out of range");
-    double X = 0.0;
-    for (; I < D.size() && D[I].first == C; ++I)
-      X += D[I].second;
-    DC.emplace_back(C, X);
-  }
+  for (const auto &E : Delta)
+    ETCH_ASSERT(E.first >= 0 && E.first < V.Size,
+                "append coordinate out of range");
+  // Canonicalize the delta, then merge the two sorted runs, dropping sums
+  // that cancel to exact zero.
+  std::vector<std::pair<Idx, double>> DC = canonicalizeSparse(Delta);
   uint64_t Zeros = 0;
   SparseVector<double> Next(V.Size);
   Next.Crd.reserve(V.nnz() + DC.size());
@@ -195,10 +184,7 @@ TensorCatalog::appendSparse(const std::string &Name,
       Next.push(V.Crd[I], V.Val[I]);
       ++I;
     } else if (I == V.Crd.size() || DC[J].first < V.Crd[I]) {
-      if (DC[J].second != 0.0)
-        Next.push(DC[J].first, DC[J].second);
-      else
-        ++Zeros;
+      Next.push(DC[J].first, DC[J].second);
       ++J;
     } else {
       double X = V.Val[I] + DC[J].second;

@@ -11,9 +11,10 @@
 /// tensor *version* (the stats epoch that installed it) — so a hit is
 /// correct by construction and performs no planner enumeration, no
 /// compilation, and no rebinding. The value is the fully prepared
-/// execution state: the realized plan's compiled `P` program, its
-/// bytecode, the JIT'd native kernel with a marshaled-once `NativeCall`,
-/// and the input bindings from the snapshot the plan was built against.
+/// execution state: the realized plan's compiled `P` program and one
+/// executor bound to the snapshot the plan was built against — either the
+/// JIT'd native kernel with a marshaled-once `NativeCall`, or bytecode
+/// with its input bindings.
 ///
 /// Keying on per-tensor versions (instead of the global epoch) keeps the
 /// hit rate high under mixed traffic: a write to tensor `A` invalidates
@@ -75,10 +76,10 @@ struct CachedPlan {
   bool Retain = false;
 
   PRef Prog;
-  BytecodeProgram Bc;
+  BytecodeProgram Bc;               ///< Empty on a native plan.
   NativeKernelRef Kernel;           ///< Null: execute on the bytecode VM.
   std::unique_ptr<NativeCall> Call; ///< Prepared native dispatch.
-  VmMemory BoundMem;                ///< Inputs bound for the bytecode VM.
+  VmMemory BoundMem;                ///< Bytecode inputs; empty if native.
   std::vector<PlanAccess> Accesses; ///< Realized accesses, for rebinding.
   std::vector<uint64_t> BoundVersions; ///< Version last bound, per access.
   std::vector<int> BoundKinds;      ///< CatalogTensor::Kind per access; a

@@ -161,38 +161,39 @@ CachedPlanRef etch::prepareContraction(const std::string &Key,
   CP->OutVar = "out";
   CP->Prog = compileFullContraction(LCtx, RP.E, CP->OutVar);
   CP->Accesses = RP.Accesses;
-  CP->BoundVersions.reserve(RP.Accesses.size());
+  CP->BoundVersions.assign(RP.Accesses.size(), 0);
+  for (const PlanAccess &Acc : RP.Accesses)
+    CP->BoundKinds.push_back(static_cast<int>(Resolved.at(Acc.Tensor)->K));
+  // A fresh plan has no native call, so this binds every access into
+  // BoundMem.
+  if (!rebindPlan(*CP, Resolve, /*Force=*/true, Err))
+    return nullptr;
 
-  for (const PlanAccess &Acc : RP.Accesses) {
-    CatalogTensorRef T = Resolved.at(Acc.Tensor);
-    if (!bindAccess(CP->BoundMem, Acc, *T, Err))
-      return nullptr;
-    CP->BoundVersions.push_back(T->Version);
-    CP->BoundKinds.push_back(static_cast<int>(T->K));
+  // One executor per plan: native when the JIT compiles and binds it (the
+  // bound memory is then dropped; NativeCall keeps its own copy), else
+  // bytecode over BoundMem, with the reason named in EXPLAIN.
+  std::string Why = "UseNative off";
+  if (PO.UseNative) {
+    JitOptions JO;
+    JO.CacheDir = PO.JitCacheDir;
+    if (NativeKernelRef K = jitCompile(CP->Prog, JO, &Why)) {
+      auto Call = std::make_unique<NativeCall>(K);
+      if (Call->bind(CP->BoundMem, &Why)) {
+        CP->Kernel = std::move(K);
+        CP->Call = std::move(Call);
+        CP->BoundMem = VmMemory();
+        return CP;
+      }
+      Why = "native bind failed: " + Why;
+    }
   }
-
   CP->Bc = compileBytecode(CP->Prog);
   if (!CP->Bc.ok()) {
     if (Err)
       *Err = "bytecode compile error: " + CP->Bc.CompileError;
     return nullptr;
   }
-
-  if (PO.UseNative && jitToolchain().Available) {
-    JitOptions JO;
-    JO.CacheDir = PO.JitCacheDir;
-    std::string JitErr;
-    if (NativeKernelRef K = jitCompile(CP->Prog, JO, &JitErr)) {
-      auto Call = std::make_unique<NativeCall>(K);
-      std::string BindErr;
-      if (Call->bind(CP->BoundMem, &BindErr)) {
-        CP->Kernel = std::move(K);
-        CP->Call = std::move(Call);
-      }
-      // A bind failure (or a jit decline) silently leaves the bytecode
-      // executor in charge — degrade, never abort.
-    }
-  }
+  CP->Explain += "executor: bytecode (" + Why + ")\n";
   return CP;
 }
 
@@ -200,7 +201,9 @@ bool etch::rebindPlan(CachedPlan &P, const TensorResolver &Resolve,
                       bool Force, std::string *Err) {
   ETCH_ASSERT(P.Accesses.size() == P.BoundVersions.size(),
               "access/version bookkeeping out of sync");
-  bool Moved = false;
+  std::vector<CatalogTensorRef> Ts;
+  Ts.reserve(P.Accesses.size());
+  bool Moved = Force;
   for (size_t I = 0; I < P.Accesses.size(); ++I) {
     const PlanAccess &Acc = P.Accesses[I];
     CatalogTensorRef T = Resolve(Acc.Tensor);
@@ -215,21 +218,31 @@ bool etch::rebindPlan(CachedPlan &P, const TensorResolver &Resolve,
                "' changed storage kind; the plan must be rebuilt";
       return false;
     }
-    if (!Force && T->Version == P.BoundVersions[I])
-      continue;
-    if (!bindAccess(P.BoundMem, Acc, *T, Err))
-      return false;
-    P.BoundVersions[I] = T->Version;
-    P.Epoch = std::max(P.Epoch, T->Version);
-    Moved = true;
+    Moved = Moved || T->Version != P.BoundVersions[I];
+    Ts.push_back(std::move(T));
   }
-  if (Moved && P.Call) {
-    std::string BindErr;
-    if (!P.Call->bind(P.BoundMem, &BindErr)) {
-      if (Err)
-        *Err = "rebind: native re-marshal failed: " + BindErr;
+  if (!Moved)
+    return true;
+
+  // A native plan keeps no bound memory: NativeCall::bind re-marshals
+  // every array, so all accesses are bound into scratch memory that dies
+  // with this call. A bytecode plan rebinds only the moved accesses.
+  VmMemory Scratch;
+  VmMemory &M = P.Call ? Scratch : P.BoundMem;
+  bool All = Force || P.Call;
+  for (size_t I = 0; I < Ts.size(); ++I)
+    if ((All || Ts[I]->Version != P.BoundVersions[I]) &&
+        !bindAccess(M, P.Accesses[I], *Ts[I], Err))
       return false;
-    }
+  std::string BindErr;
+  if (P.Call && !P.Call->bind(Scratch, &BindErr)) {
+    if (Err)
+      *Err = "rebind: native re-marshal failed: " + BindErr;
+    return false;
+  }
+  for (size_t I = 0; I < Ts.size(); ++I) {
+    P.BoundVersions[I] = Ts[I]->Version;
+    P.Epoch = std::max(P.Epoch, Ts[I]->Version);
   }
   return true;
 }
@@ -240,45 +253,35 @@ ExecOutcome etch::executePlan(CachedPlan &P, ExecBackend B,
   std::lock_guard<std::mutex> L(P.ExecMu);
   if (Rebind && !rebindPlan(P, *Rebind, /*Force=*/false, &R.Error))
     return R;
-  if (B == ExecBackend::Native && !P.Call) {
-    R.Error = "native backend requested but no native call is prepared";
-    return R;
-  }
-  bool Native = P.Call && (B == ExecBackend::Auto || B == ExecBackend::Native);
-  if (Native) {
-    VmRunResult RR = P.Call->invoke();
-    if (RR.Error) {
-      R.Error = *RR.Error;
+  VmRunResult RR;
+  std::optional<ImpValue> V;
+  if (P.Call) {
+    if (B == ExecBackend::Tree) {
+      R.Error = "tree backend requested on a native plan; the tree VM runs "
+                "only bytecode plans (prepare with UseNative off)";
       return R;
     }
-    auto V = P.Call->scalar(P.OutVar);
-    ETCH_ASSERT(V, "native kernel finished without defining the output");
-    R.Value = std::get<double>(*V);
+    RR = P.Call->invoke();
+    V = P.Call->scalar(P.OutVar);
     R.Backend = "native";
   } else if (B == ExecBackend::Tree) {
     // The tree VM mutates memory in place; run on a copy so the plan's
     // bound inputs stay pristine for the next dispatch.
     VmMemory M = P.BoundMem;
-    VmRunResult RR = vmRun(P.Prog, M);
-    if (RR.Error) {
-      R.Error = *RR.Error;
-      return R;
-    }
-    auto V = M.getScalar(P.OutVar);
-    ETCH_ASSERT(V, "tree run finished without defining the output");
-    R.Value = std::get<double>(*V);
+    RR = vmRun(P.Prog, M);
+    V = M.getScalar(P.OutVar);
     R.Backend = "tree";
   } else {
-    VmRunResult RR = bytecodeRun(P.Bc, P.BoundMem);
-    if (RR.Error) {
-      R.Error = *RR.Error;
-      return R;
-    }
-    auto V = P.BoundMem.getScalar(P.OutVar);
-    ETCH_ASSERT(V, "bytecode run finished without defining the output");
-    R.Value = std::get<double>(*V);
+    RR = bytecodeRun(P.Bc, P.BoundMem);
+    V = P.BoundMem.getScalar(P.OutVar);
     R.Backend = "bytecode";
   }
+  if (RR.Error) {
+    R.Error = *RR.Error;
+    return R;
+  }
+  ETCH_ASSERT(V, "executor finished without defining the output");
+  R.Value = std::get<double>(*V);
   R.Ok = true;
   return R;
 }

@@ -13,12 +13,19 @@
 /// `TensorResolver` instead of a snapshot. This is how `Σ ΔA·B` lowers
 /// through the existing planner / formats / backends unchanged.
 ///
+/// One executor per plan: preparation binds the accesses, then tries the
+/// JIT. A plan whose native kernel compiles and binds keeps only its
+/// `NativeCall`; otherwise (UseNative off, no toolchain, a JIT decline,
+/// or a native bind error) it keeps bytecode over `BoundMem`, and its
+/// EXPLAIN names the reason. Every executor computes the same
+/// contraction, so the choice is made once, at prepare time.
+///
 /// Rebinding: a prepared plan can be pointed at new tensor payloads
 /// without re-planning or re-compiling (`rebindPlan`) — the plan records
 /// its realized accesses and the version each was last bound from, so a
-/// refresh rebinds only the factors that actually changed and re-marshals
-/// the native call only when something did. Retained delta plans key on
-/// the *view*, not the tensor versions, and live across appends this way.
+/// refresh does nothing unless some factor changed. Retained delta plans
+/// key on the *view*, not the tensor versions, and live across appends
+/// this way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,29 +62,31 @@ struct PrepareOptions {
 };
 
 /// Plans, compiles, and binds the full contraction of the product of
-/// \p Factors (duplicates allowed — `{"x","x"}` is Σ x·x). Counts one
-/// planner run against \p Cache when non-null. Returns null with a
-/// diagnostic in \p Err on failure.
+/// \p Factors (duplicates allowed — `{"x","x"}` is Σ x·x) for one
+/// executor, native or bytecode. Counts one planner run against \p Cache
+/// when non-null. Returns null with a diagnostic in \p Err on failure.
 CachedPlanRef prepareContraction(const std::string &Key,
                                  const std::vector<std::string> &Factors,
                                  const TensorResolver &Resolve,
                                  const PrepareOptions &PO, PlanCache *Cache,
                                  std::string *Err);
 
-/// Re-binds the accesses of \p P whose resolved tensor version differs
-/// from the one last bound (or all of them when \p Force), then
-/// re-marshals the native call if anything moved. The caller must hold
-/// `P.ExecMu` (or otherwise own the plan exclusively). Returns false and
-/// sets \p Err if a factor no longer resolves or a bind fails.
+/// When some access's resolved tensor version differs from the one last
+/// bound (or always, when \p Force), rebinds the plan's executor: a
+/// bytecode plan rebinds the moved accesses into `BoundMem`; a native
+/// plan binds every access into scratch memory and re-marshals its
+/// `NativeCall` from it. A plan with no `Call` yet is a bytecode plan. The
+/// caller must hold `P.ExecMu` (or otherwise own the plan exclusively).
+/// Returns false and sets \p Err if a factor no longer resolves or a bind
+/// fails.
 bool rebindPlan(CachedPlan &P, const TensorResolver &Resolve, bool Force,
                 std::string *Err);
 
-/// Which executor runs a prepared plan. `Auto` is the serving default:
-/// native when the plan carries a bound `NativeCall`, else bytecode.
-/// `Tree` runs the tree-walking reference interpreter on a copy of the
-/// bound memory (it mutates state in place); `Bytecode` forces the
-/// bytecode VM even when a native call is prepared.
-enum class ExecBackend { Auto, Tree, Bytecode, Native };
+/// How a prepared plan runs. `Auto` runs the executor the plan holds.
+/// `Tree` runs the tree-walking reference interpreter on a copy of a
+/// bytecode plan's bound memory (it mutates state in place); a native
+/// plan has no bound memory, so `Tree` on it is an error.
+enum class ExecBackend { Auto, Tree };
 
 struct ExecOutcome {
   bool Ok = false;
@@ -86,8 +95,7 @@ struct ExecOutcome {
   std::string Backend; ///< "native", "bytecode", or "tree".
 };
 
-/// Dispatches \p P once under its ExecMu and reads the scalar output.
-/// `ExecBackend::Native` fails when the plan has no native call. When
+/// Dispatches \p P once under its ExecMu and reads the scalar output. When
 /// \p Rebind is non-null the stale accesses are re-bound first, under the
 /// same ExecMu hold, so refresh-and-run is atomic against concurrent
 /// dispatches of the same plan.

@@ -21,10 +21,14 @@
 //    epoch even for writes the view does not read;
 //  * wholesale replacement recomputes, erasure invalidates, reload heals;
 //  * concurrent readers race a writer without torn readings (run under
-//    TSan in CI).
+//    TSan in CI);
+//  * views answer bit-identically whether their plans run native or
+//    bytecode, and a retained native plan rebinds without keeping bound
+//    memory or bytecode.
 //
 //===----------------------------------------------------------------------===//
 
+#include "serve/prepare.h"
 #include "serve/service.h"
 
 #include "formats/random.h"
@@ -430,6 +434,109 @@ TEST(IvmConcurrency, ReadersRaceTheWriterWithoutTornReadings) {
 
   // Quiescent state: the stored value equals recomputation exactly.
   expectViewCurrent(*Svc, "spmv");
+}
+
+//===----------------------------------------------------------------------===//
+// One executor per plan
+//===----------------------------------------------------------------------===//
+
+TEST(IvmViews, BytecodeAndNativeViewsAgreeAcrossAppendsAndDeletes) {
+  ScopedService Native("exec-native");
+  ScopedService Bytecode("exec-bytecode", [] {
+    ServeOptions O;
+    O.UseNative = false;
+    return O;
+  }());
+  std::string Err;
+  for (ScopedService *S : {&Native, &Bytecode}) {
+    ASSERT_TRUE((*S)->registerView("sq", ServeQuery{{"A", "A"}}, &Err)) << Err;
+    ASSERT_TRUE((*S)->registerView("spmv", ServeQuery{{"A", "x"}}, &Err))
+        << Err;
+  }
+  auto check = [&](const char *When) {
+    for (const char *Name : {"sq", "spmv"}) {
+      expectViewCurrent(*Native, Name);
+      expectViewCurrent(*Bytecode, Name);
+      auto RN = Native->readView(Name);
+      auto RB = Bytecode->readView(Name);
+      ASSERT_TRUE(RN && RB && RN->Ok && RB->Ok);
+      EXPECT_EQ(RB->Backend, "bytecode");
+      EXPECT_EQ(RN->Backend,
+                jitToolchain().Available ? "native" : "bytecode");
+      EXPECT_TRUE(sameBits(RN->Value, RB->Value))
+          << When << ": " << Name << " native=" << RN->Value
+          << " bytecode=" << RB->Value;
+    }
+  };
+  // Appends and deletes on the self-joined factor, plus writes to x that
+  // leave A unchanged: a native retained plan then rebinds its unmoved
+  // factor too, through scratch memory.
+  auto write = [&](const char *When, auto Op) {
+    Op(*Native);
+    Op(*Bytecode);
+    check(When);
+  };
+  check("registered");
+  write("append A", [](ContractionService &S) {
+    ASSERT_NE(S.appendCsr("A", {{0, 0, 1.0}, {1, 1, -3.0}}), 0u);
+  });
+  write("append x", [](ContractionService &S) {
+    ASSERT_NE(S.appendSparse("x", {{1, 2.0}}), 0u);
+  });
+  write("delete A", [](ContractionService &S) {
+    ASSERT_NE(S.deleteCsr("A", {{2, 4}}), 0u);
+  });
+  write("append+cancel A", [](ContractionService &S) {
+    ASSERT_NE(S.appendCsr("A", {{3, 3, 2.0}, {0, 3, 1.0}}), 0u);
+  });
+  write("delete x", [](ContractionService &S) {
+    ASSERT_NE(S.deleteSparse("x", {0}), 0u);
+  });
+}
+
+TEST(IvmViews, RetainedNativePlanRebindsWithoutBoundMemory) {
+  if (!jitToolchain().Available)
+    GTEST_SKIP() << "no system C compiler: " << jitToolchain().Diag;
+  pinAttrs();
+  TensorCatalog Cat;
+  Cat.putCsr("A", makeMatrix(), VI(), VJ());
+  Cat.putSparse("x", makeVector(), VJ());
+  std::string Dir =
+      (fs::path(::testing::TempDir()) / "etch-ivm-test-rebind").string();
+  PrepareOptions PN;
+  PN.AllowHashed = false;
+  PN.Retain = true;
+  PN.JitCacheDir = Dir;
+  PrepareOptions PB = PN;
+  PB.UseNative = false;
+  std::string Err;
+  TensorResolver R0 = snapshotResolver(Cat.snapshot());
+  CachedPlanRef N = prepareContraction("n", {"A", "x"}, R0, PN, nullptr, &Err);
+  ASSERT_TRUE(N) << Err;
+  CachedPlanRef B = prepareContraction("b", {"A", "x"}, R0, PB, nullptr, &Err);
+  ASSERT_TRUE(B) << Err;
+  EXPECT_TRUE(N->Call && N->Bc.Code.empty() && N->BoundMem.allArrays().empty());
+  EXPECT_TRUE(!B->Call && !B->Bc.Code.empty() &&
+              !B->BoundMem.allArrays().empty());
+
+  for (Idx I = 0; I < 3; ++I) {
+    ASSERT_NE(Cat.appendCsr("A", {{I, I, 1.0}}), 0u); // only A moves
+    CatalogSnapshotRef Snap = Cat.snapshot();
+    TensorResolver R = snapshotResolver(Snap);
+    ExecOutcome ON = executePlan(*N, ExecBackend::Auto, &R);
+    ExecOutcome OB = executePlan(*B, ExecBackend::Auto, &R);
+    ASSERT_TRUE(ON.Ok && OB.Ok) << ON.Error << " / " << OB.Error;
+    EXPECT_EQ(ON.Backend, "native");
+    EXPECT_EQ(OB.Backend, "bytecode");
+    EXPECT_TRUE(sameBits(ON.Value, OB.Value));
+    EXPECT_EQ(ON.Value,
+              refSpmv(Snap->find("A")->Csr, Snap->find("x")->Sparse));
+    // The rebind's scratch memory died with it.
+    EXPECT_TRUE(N->BoundMem.allArrays().empty());
+    EXPECT_TRUE(N->Bc.Code.empty());
+  }
+  std::error_code Ec;
+  fs::remove_all(Dir, Ec);
 }
 
 } // namespace

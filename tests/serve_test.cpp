@@ -18,12 +18,16 @@
 //    results no matter how many epochs a concurrent writer installs;
 //  * batching: queryBatch groups identical queries onto one dispatch
 //    each, and every result is bit-identical to per-request serial
-//    execution on an identically-loaded service.
+//    execution on an identically-loaded service;
+//  * one executor per plan: a native plan keeps no bytecode and no bound
+//    memory, a bytecode plan keeps no native call and names why in its
+//    EXPLAIN, and the two answer bit-identically.
 //
 // The concurrency tests run under TSan in CI.
 //
 //===----------------------------------------------------------------------===//
 
+#include "serve/prepare.h"
 #include "serve/service.h"
 
 #include "formats/random.h"
@@ -31,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -142,6 +147,28 @@ struct ScopedService {
   ContractionService &operator*() { return *S; }
   ContractionService *operator->() { return S.get(); }
 };
+
+const std::vector<ServeQuery> &allShapes() {
+  static const std::vector<ServeQuery> Shapes = {
+      ServeQuery{{"A", "x"}}, ServeQuery{{"y", "z", "w"}},
+      ServeQuery{{"A", "d"}}, ServeQuery{{"x", "x"}}, ServeQuery{{"x", "d"}}};
+  return Shapes;
+}
+
+/// Prepares \p Q against the service's current snapshot, outside its plan
+/// cache.
+CachedPlanRef prepareOn(ScopedService &Svc, const ServeQuery &Q,
+                        bool UseNative) {
+  PrepareOptions PO;
+  PO.UseNative = UseNative;
+  PO.JitCacheDir = Svc.Dir;
+  std::string Err;
+  CachedPlanRef P = prepareContraction("test", Q.Tensors,
+                                       snapshotResolver(Svc->snapshot()), PO,
+                                       /*Cache=*/nullptr, &Err);
+  EXPECT_TRUE(P) << Err;
+  return P;
+}
 
 //===----------------------------------------------------------------------===//
 // Plan-cache amortization
@@ -392,6 +419,118 @@ TEST(Serve, ConcurrentClientsSustainHighHitRateUnderWrites) {
   EXPECT_GT(HitRate, 0.9);
   // Every request is accounted for: its own dispatch or a ride-along.
   EXPECT_EQ(SS.Executions + SS.Coalesced, SS.Queries);
+}
+
+//===----------------------------------------------------------------------===//
+// One executor per plan
+//===----------------------------------------------------------------------===//
+
+TEST(Serve, PreparedPlanHoldsExactlyOneExecutor) {
+  if (!jitToolchain().Available)
+    GTEST_SKIP() << "no system C compiler: " << jitToolchain().Diag;
+  ServeData Data;
+  ScopedService Svc("one-executor", Data);
+  for (const ServeQuery &Q : allShapes()) {
+    SCOPED_TRACE(Q.Tensors.size());
+    CachedPlanRef N = prepareOn(Svc, Q, /*UseNative=*/true);
+    CachedPlanRef B = prepareOn(Svc, Q, /*UseNative=*/false);
+    ASSERT_TRUE(N && B);
+
+    // Native: the call alone — bytecode was never compiled, and the bound
+    // memory NativeCall marshaled from was dropped.
+    EXPECT_TRUE(N->Call && N->Kernel);
+    EXPECT_TRUE(N->Bc.Code.empty());
+    EXPECT_TRUE(N->BoundMem.allArrays().empty());
+    EXPECT_EQ(N->Explain.find("executor:"), std::string::npos);
+
+    // Bytecode: no native call, and EXPLAIN says why.
+    EXPECT_FALSE(B->Call || B->Kernel);
+    EXPECT_FALSE(B->Bc.Code.empty());
+    EXPECT_FALSE(B->BoundMem.allArrays().empty());
+    EXPECT_NE(B->Explain.find("executor: bytecode (UseNative off)\n"),
+              std::string::npos)
+        << B->Explain;
+
+    ExecOutcome ON = executePlan(*N);
+    ExecOutcome OB = executePlan(*B);
+    ExecOutcome OT = executePlan(*B, ExecBackend::Tree);
+    ASSERT_TRUE(ON.Ok && OB.Ok && OT.Ok)
+        << ON.Error << " / " << OB.Error << " / " << OT.Error;
+    EXPECT_EQ(ON.Backend, "native");
+    EXPECT_EQ(OB.Backend, "bytecode");
+    EXPECT_EQ(OT.Backend, "tree");
+    EXPECT_TRUE(sameBits(ON.Value, OB.Value));
+    EXPECT_TRUE(sameBits(OT.Value, OB.Value));
+
+    // The reference interpreter needs bound memory, which a native plan
+    // does not keep.
+    ExecOutcome Bad = executePlan(*N, ExecBackend::Tree);
+    EXPECT_FALSE(Bad.Ok);
+    EXPECT_NE(Bad.Error.find("native plan"), std::string::npos) << Bad.Error;
+  }
+}
+
+TEST(Serve, BogusCompilerDegradesToANamedBytecodePlan) {
+  if (!jitToolchain().Available)
+    GTEST_SKIP() << "no system C compiler: " << jitToolchain().Diag;
+  ServeData Data;
+  ScopedService Svc("bogus-cc", Data);
+  const ServeQuery Q{{"A", "x"}};
+  CachedPlanRef N = prepareOn(Svc, Q, /*UseNative=*/true);
+  ASSERT_TRUE(N && N->Call);
+
+  const char *OldCc = std::getenv("ETCH_CC");
+  std::string Saved = OldCc ? OldCc : "";
+  setenv("ETCH_CC", "/nonexistent/etch-no-such-cc", 1);
+  jitResetToolchainForTest();
+  CachedPlanRef B = prepareOn(Svc, Q, /*UseNative=*/true);
+  if (OldCc)
+    setenv("ETCH_CC", Saved.c_str(), 1);
+  else
+    unsetenv("ETCH_CC");
+  jitResetToolchainForTest();
+
+  ASSERT_TRUE(B);
+  EXPECT_FALSE(B->Call);
+  EXPECT_FALSE(B->Bc.Code.empty());
+  EXPECT_NE(B->Explain.find("executor: bytecode (no native toolchain"),
+            std::string::npos)
+      << B->Explain;
+  ExecOutcome ON = executePlan(*N);
+  ExecOutcome OB = executePlan(*B);
+  ASSERT_TRUE(ON.Ok && OB.Ok) << ON.Error << " / " << OB.Error;
+  EXPECT_EQ(OB.Backend, "bytecode");
+  EXPECT_TRUE(sameBits(ON.Value, OB.Value));
+}
+
+TEST(Serve, BytecodeServiceMatchesNativeServiceBitForBit) {
+  ServeData Data;
+  ScopedService Native("svc-native", Data);
+  ScopedService Bytecode("svc-bytecode", Data, [] {
+    ServeOptions O;
+    O.UseNative = false;
+    return O;
+  }());
+  auto compare = [&](const char *When) {
+    for (const ServeQuery &Q : allShapes()) {
+      ServeResult RN = Native->query(Q);
+      ServeResult RB = Bytecode->query(Q);
+      ASSERT_TRUE(RN.Ok && RB.Ok) << RN.Error << " / " << RB.Error;
+      EXPECT_EQ(RB.Backend, "bytecode");
+      EXPECT_EQ(RN.Backend,
+                jitToolchain().Available ? "native" : "bytecode");
+      EXPECT_TRUE(sameBits(RN.Value, RB.Value))
+          << When << ": native=" << RN.Value << " bytecode=" << RB.Value;
+    }
+  };
+  compare("cold");
+  compare("cached");
+  for (ScopedService *S : {&Native, &Bytecode}) {
+    ASSERT_NE((*S)->appendCsr("A", {{0, Data.X.Crd[0], 2.0}}), 0u);
+    ASSERT_NE((*S)->deleteSparse("y", {Data.Y.Crd[0]}), 0u);
+  }
+  compare("after writes");
+  EXPECT_EQ(Bytecode->stats().NativeRuns, 0u);
 }
 
 } // namespace
