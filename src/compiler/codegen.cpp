@@ -5,7 +5,6 @@
 #include "support/assert.h"
 
 #include <algorithm>
-#include <atomic>
 
 using namespace etch;
 
@@ -33,7 +32,7 @@ Dest denseDestAt(const ScalarAlgebra &Alg, std::string ArrName, ERef Offset,
     return D;
   }
   D.Locate = [Alg, ArrName, Offset,
-              Strides](ERef Index) -> std::tuple<PRef, Dest, PRef> {
+              Strides](ERef Index, NameGen &) -> std::tuple<PRef, Dest, PRef> {
     ERef Step = eAddI(Offset, EExpr::call(Ops::mulI(),
                                           {std::move(Index), Strides[0]}));
     std::vector<ERef> Rest(Strides.begin() + 1, Strides.end());
@@ -58,7 +57,7 @@ Dest etch::sparseVecDest(const ScalarAlgebra &Alg, std::string CrdArr,
                          std::string ValArr, std::string CntVar) {
   Dest D;
   D.Locate = [Alg, CrdArr, ValArr,
-              CntVar](ERef Index) -> std::tuple<PRef, Dest, PRef> {
+              CntVar](ERef Index, NameGen &) -> std::tuple<PRef, Dest, PRef> {
     ERef Cnt = eVarI(CntVar);
     // crd[cnt] = index; val[cnt] = 0; cnt = cnt + 1.
     PRef Prep = PStmt::seq(
@@ -84,11 +83,11 @@ Dest etch::hashDest(const ScalarAlgebra &Alg, std::string KeyArr,
   ETCH_ASSERT(TabSize > 0, "hash destination needs a positive table size");
   Dest D;
   D.Locate = [Alg, KeyArr, ValArr, CntVar,
-              TabSize](ERef Index) -> std::tuple<PRef, Dest, PRef> {
+              TabSize](ERef Index,
+                       NameGen &G) -> std::tuple<PRef, Dest, PRef> {
     // One fresh slot variable per locate site; it lives across the nested
     // value's emission so the leaf can accumulate into the probed slot.
-    static std::atomic<int> Counter{0}; // lowerings run concurrently
-    std::string H = "hsl" + std::to_string(Counter++);
+    std::string H = G.fresh("hsl");
     auto KeyAt = [&] {
       return EExpr::access(KeyArr, ImpType::I64, eVarI(H));
     };
@@ -126,15 +125,15 @@ Dest etch::hashDest(const ScalarAlgebra &Alg, std::string KeyArr,
   return D;
 }
 
-PRef etch::compileValue(const Dest &D, const SynValue &V) {
+PRef etch::compileValue(const Dest &D, const SynValue &V, NameGen &G) {
   if (V.isLeaf()) {
     ETCH_ASSERT(D.Accum, "scalar value into a non-scalar destination");
     return D.Accum(V.Scalar);
   }
-  return compileStream(D, V.Inner);
+  return compileStream(D, V.Inner, G);
 }
 
-PRef etch::compileStream(const Dest &D, const SynRef &S) {
+PRef etch::compileStream(const Dest &D, const SynRef &S, NameGen &G) {
   ETCH_ASSERT(S, "null stream");
 
   // State declarations (zero-initialised so masked inits stay safe).
@@ -156,22 +155,21 @@ PRef etch::compileStream(const Dest &D, const SynRef &S) {
   // levels) or reuse this one (contracted levels), then recurse.
   PRef EmitBody;
   if (S->Contracted) {
-    EmitBody = compileValue(D, S->Value);
+    EmitBody = compileValue(D, S->Value, G);
   } else {
     ETCH_ASSERT(D.Locate, "stream level into a scalar destination");
-    auto [Prep, Sub, Post] = D.Locate(S->Index);
-    EmitBody = PStmt::seq({std::move(Prep), compileValue(Sub, S->Value),
+    auto [Prep, Sub, Post] = D.Locate(S->Index, G);
+    EmitBody = PStmt::seq({std::move(Prep), compileValue(Sub, S->Value, G),
                            std::move(Post)});
   }
 
   // The skip target must be latched into a temporary: skip loops mutate the
   // state that S->Index reads, so re-evaluating the raw expression inside
   // the search loop would chase a moving (eventually out-of-bounds) target.
-  auto CallSkip = [&](const std::function<PRef(ERef)> &Skip) {
-    static std::atomic<int> Counter{0}; // lowerings run concurrently
-    std::string T = "skc" + std::to_string(Counter++);
+  auto CallSkip = [&](const std::function<PRef(ERef, NameGen &)> &Skip) {
+    std::string T = G.fresh("skc");
     return PStmt::seq2(PStmt::declVar(T, ImpType::I64, S->Index),
-                       Skip(eVarI(T)));
+                       Skip(eVarI(T), G));
   };
 
   // Figure 15's loop template.

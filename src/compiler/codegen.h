@@ -29,10 +29,11 @@ namespace etch {
 /// Where one level of output goes. Exactly one member is set:
 /// \c Accum at the scalar base case, \c Locate at stream levels.
 /// Locate returns (code to run before descending, the sub-destination,
-/// code to run after the inner level completes).
+/// code to run after the inner level completes); any temporary it needs is
+/// named from the compilation's generator \p G.
 struct Dest {
   std::function<PRef(ERef Value)> Accum;
-  std::function<std::tuple<PRef, Dest, PRef>(ERef Index)> Locate;
+  std::function<std::tuple<PRef, Dest, PRef>(ERef Index, NameGen &G)> Locate;
 
   /// Names the caller reads back after execution (the destination's output
   /// scalar/arrays, including any position counter). The optimization
@@ -71,11 +72,14 @@ Dest hashDest(const ScalarAlgebra &Alg, std::string KeyArr,
               std::string ValArr, std::string CntVar, int64_t TabSize);
 
 /// Compiles a full stream into \p D (Figure 15): declarations, init, then
-/// the level loop; contracted levels reuse the same destination.
-PRef compileStream(const Dest &D, const SynRef &S);
+/// the level loop; contracted levels reuse the same destination. Skip
+/// latches and destination temporaries are named from \p G — the same
+/// generator that named the stream's state — so a program's text depends
+/// only on the program, never on what else the process compiled.
+PRef compileStream(const Dest &D, const SynRef &S, NameGen &G);
 
 /// Compiles a value (stream or scalar) into \p D — the paper's `compile`.
-PRef compileValue(const Dest &D, const SynValue &V);
+PRef compileValue(const Dest &D, const SynValue &V, NameGen &G);
 
 } // namespace etch
 

@@ -159,7 +159,8 @@ PRef runPipeline(LowerCtx &Ctx, PRef Raw,
 } // namespace
 
 PRef etch::compileExpr(LowerCtx &Ctx, const ExprPtr &E, const Dest &D) {
-  return runPipeline(Ctx, compileValue(D, lowerExpr(Ctx, E)), D.Live);
+  return runPipeline(Ctx, compileValue(D, lowerExpr(Ctx, E), Ctx.G),
+                     D.Live);
 }
 
 PRef etch::compileFullContraction(LowerCtx &Ctx, const ExprPtr &E,
@@ -171,7 +172,8 @@ PRef etch::compileFullContraction(LowerCtx &Ctx, const ExprPtr &E,
   // Build the raw body directly (not through compileExpr) so the whole
   // program — declaration included — is optimized in one pipeline run with
   // OutVar as the only live-out.
-  PRef Body = compileValue(scalarDest(*Ctx.Alg, OutVar), lowerExpr(Ctx, Full));
+  PRef Body =
+      compileValue(scalarDest(*Ctx.Alg, OutVar), lowerExpr(Ctx, Full), Ctx.G);
   return runPipeline(Ctx, PStmt::seq2(std::move(Decl), std::move(Body)),
                      {OutVar});
 }

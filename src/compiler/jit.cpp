@@ -2,8 +2,6 @@
 
 #include "compiler/jit.h"
 
-#include "compiler/bytecode.h"
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -524,11 +522,10 @@ NativeKernelRef etch::jitCompile(const PRef &Body, const JitOptions &Opts,
 
   // The content-address pins everything that affects the object: the full
   // generated source (hence the optimized P IR and format layout), the
-  // compiler identity and flags, the ABI, and the caller's extra tag.
+  // compiler identity and flags, and the ABI.
   std::string Key = jitSha256Hex(
       "cc=" + Tc.Cmd + "\nver=" + Tc.VersionLine + "\nflags=" + Tc.Flags +
-      "\nabi=" + std::to_string(EtchJitAbi) + "\nextra=" + Opts.ExtraKey +
-      "\n---\n" + Source);
+      "\nabi=" + std::to_string(EtchJitAbi) + "\n---\n" + Source);
 
   JitState &S = state();
   {
@@ -584,8 +581,7 @@ NativeKernelRef etch::jitCompile(const PRef &Body, const JitOptions &Opts,
         *Err = LoadErr;
       return nullptr;
     }
-    if (Opts.Evict)
-      jitEvictCache(Dir, JitCacheDefaultMaxBytes);
+    jitEvictCache(Dir, JitCacheDefaultMaxBytes);
   }
 
   auto K = std::shared_ptr<NativeKernel>(new NativeKernel());
@@ -616,227 +612,23 @@ NativeKernel::~NativeKernel() {
     dlclose(Handle);
 }
 
-namespace {
-
-/// Marshaled inputs + output slots for one dispatch, bound to a manifest.
-struct CallFrame {
-  std::vector<std::vector<int64_t>> ArrI;
-  std::vector<std::vector<double>> ArrF;
-  std::vector<std::vector<uint8_t>> ArrB;
-  std::vector<void *> ArrData;
-  std::vector<int64_t> ArrLen;
-  std::vector<uint8_t> ArrDef;
-  std::vector<int64_t> ScI;
-  std::vector<double> ScF;
-  std::vector<uint8_t> ScB;
-  std::vector<uint8_t> ScDef;
-  std::vector<void *> OutArrData;
-  std::vector<int64_t> OutArrLen;
-  std::vector<uint8_t> OutArrDef;
-  std::vector<uint8_t> OutArrOwned;
-  std::vector<int64_t> OutScI;
-  std::vector<double> OutScF;
-  std::vector<uint8_t> OutScB;
-  std::vector<uint8_t> OutScDef;
-  EtchJitCtx Ctx{};
-
-  void size(const CKernelManifest &M) {
-    size_t NA = M.Arrays.size(), NS = M.Scalars.size();
-    ArrI.resize(NA);
-    ArrF.resize(NA);
-    ArrB.resize(NA);
-    ArrData.assign(NA, nullptr);
-    ArrLen.assign(NA, 0);
-    ArrDef.assign(NA, 0);
-    ScI.assign(NS, 0);
-    ScF.assign(NS, 0.0);
-    ScB.assign(NS, 0);
-    ScDef.assign(NS, 0);
-    OutArrData.assign(NA, nullptr);
-    OutArrLen.assign(NA, 0);
-    OutArrDef.assign(NA, 0);
-    OutArrOwned.assign(NA, 0);
-    OutScI.assign(NS, 0);
-    OutScF.assign(NS, 0.0);
-    OutScB.assign(NS, 0);
-    OutScDef.assign(NS, 0);
-  }
-
-  /// Loads inputs from \p Memory with bytecodeRun's binding-type errors.
-  bool marshal(const CKernelManifest &M, const VmMemory &Memory,
-               std::string *Err) {
-    for (size_t I = 0; I < M.Scalars.size(); ++I) {
-      const CKernelScalar &Sc = M.Scalars[I];
-      auto V = Memory.getScalar(Sc.Name);
-      if (!V)
-        continue;
-      if (impTypeOf(*V) != Sc.Ty) {
-        if (Err)
-          *Err = "scalar '" + Sc.Name + "' is bound as " +
-                 impTypeName(impTypeOf(*V)) + " but used as " +
-                 impTypeName(Sc.Ty);
-        return false;
-      }
-      switch (Sc.Ty) {
-      case ImpType::I64:
-        ScI[I] = std::get<int64_t>(*V);
-        break;
-      case ImpType::F64:
-        ScF[I] = std::get<double>(*V);
-        break;
-      case ImpType::Bool:
-        ScB[I] = std::get<bool>(*V) ? 1 : 0;
-        break;
-      }
-      ScDef[I] = 1;
-    }
-    for (size_t I = 0; I < M.Arrays.size(); ++I) {
-      const CKernelArray &A = M.Arrays[I];
-      const std::vector<ImpValue> *Src = Memory.getArray(A.Name);
-      if (!Src)
-        continue;
-      for (const ImpValue &V : *Src)
-        if (impTypeOf(V) != A.Elem) {
-          if (Err)
-            *Err = "array '" + A.Name + "' holds a " +
-                   impTypeName(impTypeOf(V)) + " element but is used as " +
-                   impTypeName(A.Elem);
-          return false;
-        }
-      switch (A.Elem) {
-      case ImpType::I64: {
-        auto &D = ArrI[I];
-        D.reserve(Src->size());
-        for (const ImpValue &V : *Src)
-          D.push_back(std::get<int64_t>(V));
-        ArrData[I] = D.data();
-        break;
-      }
-      case ImpType::F64: {
-        auto &D = ArrF[I];
-        D.reserve(Src->size());
-        for (const ImpValue &V : *Src)
-          D.push_back(std::get<double>(V));
-        ArrData[I] = D.data();
-        break;
-      }
-      case ImpType::Bool: {
-        auto &D = ArrB[I];
-        D.reserve(Src->size());
-        for (const ImpValue &V : *Src)
-          D.push_back(std::get<bool>(V) ? 1 : 0);
-        ArrData[I] = D.data();
-        break;
-      }
-      }
-      ArrLen[I] = static_cast<int64_t>(Src->size());
-      ArrDef[I] = 1;
-    }
-    return true;
-  }
-
-  void wire(int64_t MaxSteps) {
-    Ctx.arr_data = ArrData.data();
-    Ctx.arr_len = ArrLen.data();
-    Ctx.arr_def = ArrDef.data();
-    Ctx.sc_i = ScI.data();
-    Ctx.sc_f = ScF.data();
-    Ctx.sc_b = ScB.data();
-    Ctx.sc_def = ScDef.data();
-    Ctx.steps_budget = MaxSteps;
-    Ctx.steps_used = 0;
-    Ctx.out_arr_data = OutArrData.data();
-    Ctx.out_arr_len = OutArrLen.data();
-    Ctx.out_arr_def = OutArrDef.data();
-    Ctx.out_arr_owned = OutArrOwned.data();
-    Ctx.out_sc_i = OutScI.data();
-    Ctx.out_sc_f = OutScF.data();
-    Ctx.out_sc_b = OutScB.data();
-    Ctx.out_sc_def = OutScDef.data();
-  }
-
-  ImpValue outScalar(const CKernelScalar &S, size_t I) const {
-    switch (S.Ty) {
-    case ImpType::I64:
-      return OutScI[I];
-    case ImpType::F64:
-      return OutScF[I];
-    case ImpType::Bool:
-      return OutScB[I] != 0;
-    }
-    ETCH_UNREACHABLE("unknown ImpType");
-  }
-
-  /// Frees kernel-owned output buffers (success path only; the kernel
-  /// frees them itself on error).
-  void freeOwned(const CKernelManifest &M) {
-    for (size_t I = 0; I < M.Arrays.size(); ++I)
-      if (OutArrOwned[I]) {
-        std::free(OutArrData[I]);
-        OutArrOwned[I] = 0;
-        OutArrData[I] = nullptr;
-      }
-  }
-};
-
-} // namespace
-
 VmRunResult NativeKernel::run(VmMemory &Memory, int64_t MaxSteps) const {
+  NativeCall Call(shared_from_this());
   VmRunResult R;
-  CallFrame F;
-  F.size(Manifest);
   std::string Err;
-  if (!F.marshal(Manifest, Memory, &Err)) {
+  if (!Call.bind(Memory, &Err)) {
     R.Error = Err;
     return R;
   }
-  F.wire(MaxSteps);
-  int32_t St = Entry(&F.Ctx);
-  R.Steps = F.Ctx.steps_used;
-  if (St != 0) {
-    R.Error = std::string(F.Ctx.err);
-    return R; // Memory untouched on error (the bytecode VM's contract).
-  }
-  // Success: write every defined name back.
-  for (size_t I = 0; I < Manifest.Scalars.size(); ++I)
-    if (F.OutScDef[I])
-      Memory.setScalar(Manifest.Scalars[I].Name,
-                       F.outScalar(Manifest.Scalars[I], I));
-  for (size_t I = 0; I < Manifest.Arrays.size(); ++I) {
-    if (!F.OutArrDef[I])
-      continue;
-    const CKernelArray &A = Manifest.Arrays[I];
-    size_t N = static_cast<size_t>(F.OutArrLen[I]);
-    std::vector<ImpValue> Data;
-    Data.reserve(N);
-    switch (A.Elem) {
-    case ImpType::I64: {
-      const int64_t *P = static_cast<const int64_t *>(F.OutArrData[I]);
-      for (size_t J = 0; J < N; ++J)
-        Data.emplace_back(P[J]);
-      break;
-    }
-    case ImpType::F64: {
-      const double *P = static_cast<const double *>(F.OutArrData[I]);
-      for (size_t J = 0; J < N; ++J)
-        Data.emplace_back(P[J]);
-      break;
-    }
-    case ImpType::Bool: {
-      const uint8_t *P = static_cast<const uint8_t *>(F.OutArrData[I]);
-      for (size_t J = 0; J < N; ++J)
-        Data.emplace_back(P[J] != 0);
-      break;
-    }
-    }
-    Memory.setArray(A.Name, std::move(Data));
-  }
-  F.freeOwned(Manifest);
+  R = Call.invoke(MaxSteps);
+  // Memory is untouched on error (the bytecode VM's contract).
+  if (!R.Error)
+    Call.writeBack(Memory);
   return R;
 }
 
 //===----------------------------------------------------------------------===//
-// NativeCall (prepared, resident-buffer dispatch)
+// NativeCall (the one marshal-and-dispatch path)
 //===----------------------------------------------------------------------===//
 
 NativeCall::NativeCall(NativeKernelRef Kernel) : K(std::move(Kernel)) {
@@ -853,77 +645,132 @@ NativeCall::NativeCall(NativeKernelRef Kernel) : K(std::move(Kernel)) {
   ScF.assign(NS, 0.0);
   ScB.assign(NS, 0);
   ScDef.assign(NS, 0);
+  OutArrData.assign(NA, nullptr);
+  OutArrLen.assign(NA, 0);
+  OutArrDef.assign(NA, 0);
+  OutArrOwned.assign(NA, 0);
   OutScI.assign(NS, 0);
   OutScF.assign(NS, 0.0);
   OutScB.assign(NS, 0);
   OutScDef.assign(NS, 0);
 }
 
+NativeCall::~NativeCall() { releaseOutputs(); }
+
+void NativeCall::releaseOutputs() {
+  for (size_t I = 0; I < OutArrOwned.size(); ++I)
+    if (OutArrOwned[I])
+      std::free(OutArrData[I]);
+  std::fill(OutArrData.begin(), OutArrData.end(), nullptr);
+  std::fill(OutArrLen.begin(), OutArrLen.end(), 0);
+  std::fill(OutArrDef.begin(), OutArrDef.end(), 0);
+  std::fill(OutArrOwned.begin(), OutArrOwned.end(), 0);
+  std::fill(OutScDef.begin(), OutScDef.end(), 0);
+}
+
 bool NativeCall::bind(const VmMemory &Memory, std::string *Err) {
   const CKernelManifest &M = K->manifest();
-  CallFrame F;
-  F.size(M);
-  if (!F.marshal(M, Memory, Err))
-    return false;
-  ArrI = std::move(F.ArrI);
-  ArrF = std::move(F.ArrF);
-  ArrB = std::move(F.ArrB);
-  ArrLen = std::move(F.ArrLen);
-  ArrDef = std::move(F.ArrDef);
-  ScI = std::move(F.ScI);
-  ScF = std::move(F.ScF);
-  ScB = std::move(F.ScB);
-  ScDef = std::move(F.ScDef);
+  // Type-check everything first so a mismatch leaves the binding intact.
+  for (const CKernelScalar &Sc : M.Scalars) {
+    auto V = Memory.getScalar(Sc.Name);
+    if (V && impTypeOf(*V) != Sc.Ty) {
+      if (Err)
+        *Err = "scalar '" + Sc.Name + "' is bound as " +
+               impTypeName(impTypeOf(*V)) + " but used as " +
+               impTypeName(Sc.Ty);
+      return false;
+    }
+  }
+  for (const CKernelArray &A : M.Arrays) {
+    const std::vector<ImpValue> *Src = Memory.getArray(A.Name);
+    if (!Src)
+      continue;
+    for (const ImpValue &V : *Src)
+      if (impTypeOf(V) != A.Elem) {
+        if (Err)
+          *Err = "array '" + A.Name + "' holds a " +
+                 impTypeName(impTypeOf(V)) + " element but is used as " +
+                 impTypeName(A.Elem);
+        return false;
+      }
+  }
+
+  // Outputs may alias the buffers refilled below.
+  releaseOutputs();
+  for (size_t I = 0; I < M.Scalars.size(); ++I) {
+    auto V = Memory.getScalar(M.Scalars[I].Name);
+    ScDef[I] = V.has_value();
+    if (!V)
+      continue;
+    switch (M.Scalars[I].Ty) {
+    case ImpType::I64:
+      ScI[I] = std::get<int64_t>(*V);
+      break;
+    case ImpType::F64:
+      ScF[I] = std::get<double>(*V);
+      break;
+    case ImpType::Bool:
+      ScB[I] = std::get<bool>(*V) ? 1 : 0;
+      break;
+    }
+  }
   RestoreI.clear();
   RestoreF.clear();
   RestoreB.clear();
   for (size_t I = 0; I < M.Arrays.size(); ++I) {
+    const CKernelArray &A = M.Arrays[I];
+    const std::vector<ImpValue> *Src = Memory.getArray(A.Name);
     ArrData[I] = nullptr;
-    if (!ArrDef[I])
+    ArrLen[I] = Src ? static_cast<int64_t>(Src->size()) : 0;
+    ArrDef[I] = Src != nullptr;
+    if (!Src)
       continue;
-    switch (M.Arrays[I].Elem) {
-    case ImpType::I64:
-      ArrData[I] = ArrI[I].data();
-      break;
-    case ImpType::F64:
-      ArrData[I] = ArrF[I].data();
-      break;
-    case ImpType::Bool:
-      ArrData[I] = ArrB[I].data();
-      break;
-    }
     // The kernel writes bound written-back arrays in place; keep a
     // pristine copy so every invoke starts from the same memory.
-    if (M.Arrays[I].WrittenBack) {
-      switch (M.Arrays[I].Elem) {
-      case ImpType::I64:
-        RestoreI.emplace_back(I, ArrI[I]);
-        break;
-      case ImpType::F64:
-        RestoreF.emplace_back(I, ArrF[I]);
-        break;
-      case ImpType::Bool:
-        RestoreB.emplace_back(I, ArrB[I]);
-        break;
-      }
+    switch (A.Elem) {
+    case ImpType::I64: {
+      auto &D = ArrI[I];
+      D.clear();
+      for (const ImpValue &V : *Src)
+        D.push_back(std::get<int64_t>(V));
+      ArrData[I] = D.data();
+      if (A.WrittenBack)
+        RestoreI.emplace_back(I, D);
+      break;
+    }
+    case ImpType::F64: {
+      auto &D = ArrF[I];
+      D.clear();
+      for (const ImpValue &V : *Src)
+        D.push_back(std::get<double>(V));
+      ArrData[I] = D.data();
+      if (A.WrittenBack)
+        RestoreF.emplace_back(I, D);
+      break;
+    }
+    case ImpType::Bool: {
+      auto &D = ArrB[I];
+      D.clear();
+      for (const ImpValue &V : *Src)
+        D.push_back(std::get<bool>(V) ? 1 : 0);
+      ArrData[I] = D.data();
+      if (A.WrittenBack)
+        RestoreB.emplace_back(I, D);
+      break;
+    }
     }
   }
   return true;
 }
 
 VmRunResult NativeCall::invoke(int64_t MaxSteps) {
-  const CKernelManifest &M = K->manifest();
+  releaseOutputs();
   for (auto &[I, Data] : RestoreI)
     std::copy(Data.begin(), Data.end(), ArrI[I].begin());
   for (auto &[I, Data] : RestoreF)
     std::copy(Data.begin(), Data.end(), ArrF[I].begin());
   for (auto &[I, Data] : RestoreB)
     std::copy(Data.begin(), Data.end(), ArrB[I].begin());
-
-  std::vector<void *> OutArrData(M.Arrays.size(), nullptr);
-  std::vector<int64_t> OutArrLen(M.Arrays.size(), 0);
-  std::vector<uint8_t> OutArrDef(M.Arrays.size(), 0);
-  std::vector<uint8_t> OutArrOwned(M.Arrays.size(), 0);
 
   EtchJitCtx Ctx{};
   Ctx.arr_data = ArrData.data();
@@ -944,59 +791,74 @@ VmRunResult NativeCall::invoke(int64_t MaxSteps) {
   Ctx.out_sc_def = OutScDef.data();
 
   VmRunResult R;
-  int32_t St = K->Entry(&Ctx);
-  R.Steps = Ctx.steps_used;
-  if (St != 0) {
+  // On failure the kernel frees what it allocated and leaves the output
+  // slots as releaseOutputs() cleared them.
+  if (K->Entry(&Ctx) != 0)
     R.Error = std::string(Ctx.err);
-    std::fill(OutScDef.begin(), OutScDef.end(), 0);
-    return R;
-  }
-  for (size_t I = 0; I < M.Arrays.size(); ++I)
-    if (OutArrOwned[I])
-      std::free(OutArrData[I]);
+  R.Steps = Ctx.steps_used;
   return R;
 }
 
-std::optional<ImpValue> NativeCall::scalar(const std::string &Name) const {
-  const CKernelManifest &M = K->manifest();
-  int I = M.scalarIndex(Name);
-  if (I < 0 || !OutScDef[static_cast<size_t>(I)])
-    return std::nullopt;
-  size_t Idx = static_cast<size_t>(I);
-  switch (M.Scalars[Idx].Ty) {
+ImpValue NativeCall::outScalar(size_t I) const {
+  switch (K->manifest().Scalars[I].Ty) {
   case ImpType::I64:
-    return OutScI[Idx];
+    return OutScI[I];
   case ImpType::F64:
-    return OutScF[Idx];
+    return OutScF[I];
   case ImpType::Bool:
-    return OutScB[Idx] != 0;
+    return OutScB[I] != 0;
   }
   ETCH_UNREACHABLE("unknown ImpType");
 }
 
-//===----------------------------------------------------------------------===//
-// nativeRunWithFallback
-//===----------------------------------------------------------------------===//
+std::vector<ImpValue> NativeCall::outArray(size_t I) const {
+  size_t N = static_cast<size_t>(OutArrLen[I]);
+  std::vector<ImpValue> Data;
+  Data.reserve(N);
+  switch (K->manifest().Arrays[I].Elem) {
+  case ImpType::I64: {
+    const int64_t *P = static_cast<const int64_t *>(OutArrData[I]);
+    for (size_t J = 0; J < N; ++J)
+      Data.emplace_back(P[J]);
+    break;
+  }
+  case ImpType::F64: {
+    const double *P = static_cast<const double *>(OutArrData[I]);
+    for (size_t J = 0; J < N; ++J)
+      Data.emplace_back(P[J]);
+    break;
+  }
+  case ImpType::Bool: {
+    const uint8_t *P = static_cast<const uint8_t *>(OutArrData[I]);
+    for (size_t J = 0; J < N; ++J)
+      Data.emplace_back(P[J] != 0);
+    break;
+  }
+  }
+  return Data;
+}
 
-VmRunResult etch::nativeRunWithFallback(const PRef &Body, VmMemory &Memory,
-                                        int64_t MaxSteps,
-                                        const JitOptions &Opts) {
-  JitOptions O = Opts;
-  O.CountSteps = true; // Keep VmRunResult::Steps meaningful either way.
-  std::string Err;
-  if (NativeKernelRef K = jitCompile(Body, O, &Err))
-    return K->run(Memory, MaxSteps);
+std::optional<ImpValue> NativeCall::scalar(const std::string &Name) const {
+  int I = K->manifest().scalarIndex(Name);
+  if (I < 0 || !OutScDef[static_cast<size_t>(I)])
+    return std::nullopt;
+  return outScalar(static_cast<size_t>(I));
+}
 
-  static std::once_flag WarnedOnce;
-  std::call_once(WarnedOnce, [&Err] {
-    std::fprintf(stderr,
-                 "etch-jit: native backend unavailable (%s); "
-                 "falling back to the bytecode VM\n",
-                 Err.c_str());
-  });
+std::optional<std::vector<ImpValue>>
+NativeCall::array(const std::string &Name) const {
+  int I = K->manifest().arrayIndex(Name);
+  if (I < 0 || !OutArrDef[static_cast<size_t>(I)])
+    return std::nullopt;
+  return outArray(static_cast<size_t>(I));
+}
 
-  BytecodeProgram BC = compileBytecode(Body);
-  if (BC.ok())
-    return bytecodeRun(BC, Memory, MaxSteps);
-  return vmRun(Body, Memory, MaxSteps);
+void NativeCall::writeBack(VmMemory &Memory) const {
+  const CKernelManifest &M = K->manifest();
+  for (size_t I = 0; I < M.Scalars.size(); ++I)
+    if (OutScDef[I])
+      Memory.setScalar(M.Scalars[I].Name, outScalar(I));
+  for (size_t I = 0; I < M.Arrays.size(); ++I)
+    if (OutArrDef[I])
+      Memory.setArray(M.Arrays[I].Name, outArray(I));
 }

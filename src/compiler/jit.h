@@ -11,17 +11,21 @@
 /// `dlopen`ed for dispatch. In front of the compiler sits a
 /// content-addressed kernel cache: the key is a SHA-256 over the full
 /// generated C source (which pins the optimized P IR and the format
-/// layout), the compiler identity and flags, the kernel ABI version, and
-/// an optional caller-supplied tag. Repeated queries — including
-/// planner-enumerated plans and hashed-format realizations — pay
-/// compilation exactly once, with in-process handle reuse and on-disk
-/// reuse across runs.
+/// layout), the compiler identity and flags, and the kernel ABI version.
+/// Lowering names every temporary from its own compilation's generator, so
+/// a program always renders to the same source; repeated queries —
+/// including re-plans of one shape — pay compilation exactly once, with
+/// in-process handle reuse and on-disk reuse across runs.
 ///
-/// Failure paths degrade, never abort: no compiler found, a compile
+/// Failure paths decline, never abort: no compiler found, a compile
 /// error, or a dlopen failure makes `jitCompile` return null with a
-/// diagnostic, and `nativeRunWithFallback` silently switches to the
-/// bytecode VM after a one-time warning. A cache entry that no longer
+/// diagnostic. The caller picks another executor and names the reason
+/// (prepareContraction's EXPLAIN, etch-plan's `executor:` line); nothing
+/// here switches executors behind its back. A cache entry that no longer
 /// loads (corrupted .so) is treated as a miss and recompiled.
+///
+/// `NativeCall` is the one path from `VmMemory` into a kernel:
+/// `NativeKernel::run` is a NativeCall bind, invoke, and write-back.
 ///
 /// Cache hygiene: every generated `.c`/`.so` lives under one cache
 /// directory (`--jit-cache-dir` flags, `ETCH_JIT_CACHE` env, or
@@ -113,12 +117,9 @@ struct JitOptions {
   /// source, hence of the content-address — distinct tiles cache as
   /// distinct kernels.
   int64_t TileDenseTails = 0;
-  /// Cache directory override (see jitCacheDir).
+  /// Cache directory override (see jitCacheDir). Size-bounded eviction
+  /// (JitCacheDefaultMaxBytes) runs over it after every compile.
   std::string CacheDir;
-  /// Extra content folded into the cache key (e.g. a format-layout tag).
-  std::string ExtraKey;
-  /// Apply size-bounded eviction after a compile (default on).
-  bool Evict = true;
   /// Refuse to JIT when the generated C source exceeds this many bytes
   /// (0 = unlimited). Deeply nested stream programs can lower to
   /// megabytes of C that the system compiler chews on for minutes at
@@ -137,8 +138,8 @@ inline constexpr const char *JitSourceTooLargePrefix =
     "kernel source too large";
 
 /// A loaded kernel: dlopen'd shared object + manifest. Thread-compatible;
-/// run() is const and re-entrant (each call owns its marshaling buffers).
-class NativeKernel {
+/// run() is const and re-entrant (each call owns its NativeCall).
+class NativeKernel : public std::enable_shared_from_this<NativeKernel> {
 public:
   ~NativeKernel();
   NativeKernel(const NativeKernel &) = delete;
@@ -152,7 +153,8 @@ public:
   /// Full VmMemory contract, mirroring bytecodeRun: marshal inputs (with
   /// the same binding-type-mismatch errors), dispatch, and on success
   /// write every defined scalar/array back; memory is untouched on error.
-  /// Steps is meaningful only when countsSteps().
+  /// Steps is meaningful only when countsSteps(). One-shot NativeCall
+  /// bind → invoke → writeBack.
   VmRunResult run(VmMemory &Memory, int64_t MaxSteps = int64_t(1) << 28) const;
 
 private:
@@ -171,35 +173,53 @@ private:
 /// Compiles \p Body (or fetches it from the cache). Returns null with a
 /// diagnostic in \p Err when the program is outside the statically-typed
 /// kernel fragment, no toolchain is available, or compilation/loading
-/// fails — callers fall back to the bytecode VM.
+/// fails — callers then run the bytecode VM and report \p Err.
 NativeKernelRef jitCompile(const PRef &Body, const JitOptions &Opts = {},
                            std::string *Err = nullptr);
 
-/// A prepared dispatch: inputs are marshaled once into resident typed
-/// buffers, then invoke() reuses them — the cache-hit steady state the
-/// bench rows measure (run(VmMemory&) pays the variant conversion every
-/// call). Input arrays the program stores into are re-seeded from a
-/// pristine copy before each invoke, so repeated invocations see the
-/// same initial memory.
+/// The one dispatch path into a kernel: inputs are marshaled once into
+/// resident typed buffers (bind), then invoke() reuses them — the
+/// cache-hit steady state the served path and the bench rows measure.
+/// Input arrays the program stores into are re-seeded from a pristine copy
+/// before each invoke, so repeated invocations see the same initial
+/// memory. Every buffer and output slot is sized at construction, so
+/// invoke() performs no heap allocation of its own.
 class NativeCall {
 public:
   explicit NativeCall(NativeKernelRef K);
+  ~NativeCall();
+  NativeCall(const NativeCall &) = delete;
+  NativeCall &operator=(const NativeCall &) = delete;
 
   /// Binds inputs from \p Memory (same typing rules as NativeKernel::run).
-  /// Returns false with a diagnostic on a type mismatch.
+  /// Returns false with a diagnostic on a type mismatch, leaving the
+  /// previous binding in place. Drops the last invoke's outputs.
   bool bind(const VmMemory &Memory, std::string *Err = nullptr);
 
-  /// Dispatches against the resident buffers. Outputs are captured
-  /// internally (read them back with scalar()); \p Memory from bind() is
-  /// never written.
+  /// Dispatches against the resident buffers, first releasing the previous
+  /// invoke's outputs (freeing kernel-owned arrays). Outputs are captured
+  /// internally (read them back with scalar() or array()); \p Memory from
+  /// bind() is never written.
   VmRunResult invoke(int64_t MaxSteps = int64_t(1) << 28);
 
   /// The value of a scalar after the last successful invoke().
   std::optional<ImpValue> scalar(const std::string &Name) const;
 
+  /// The elements of an array the last successful invoke() defined — a
+  /// bound input (as the kernel left it) or a kernel-allocated output.
+  std::optional<std::vector<ImpValue>> array(const std::string &Name) const;
+
 private:
+  friend class NativeKernel;
+  /// Writes every scalar and array the last successful invoke() defined
+  /// into \p Memory (bytecodeRun's write-back).
+  void writeBack(VmMemory &Memory) const;
+  ImpValue outScalar(size_t I) const;
+  std::vector<ImpValue> outArray(size_t I) const;
+  void releaseOutputs();
+
   NativeKernelRef K;
-  // Resident manifest-indexed buffers.
+  // Resident manifest-indexed inputs.
   std::vector<std::vector<int64_t>> ArrI;
   std::vector<std::vector<double>> ArrF;
   std::vector<std::vector<uint8_t>> ArrB;
@@ -214,19 +234,17 @@ private:
   std::vector<std::pair<size_t, std::vector<int64_t>>> RestoreI;
   std::vector<std::pair<size_t, std::vector<double>>> RestoreF;
   std::vector<std::pair<size_t, std::vector<uint8_t>>> RestoreB;
-  // Last invoke's scalar outputs.
+  // The last invoke's outputs. OutArrData aliases ArrI/ArrF/ArrB for
+  // bound arrays; OutArrOwned marks kernel-allocated buffers.
+  std::vector<void *> OutArrData;
+  std::vector<int64_t> OutArrLen;
+  std::vector<uint8_t> OutArrDef;
+  std::vector<uint8_t> OutArrOwned;
   std::vector<int64_t> OutScI;
   std::vector<double> OutScF;
   std::vector<uint8_t> OutScB;
   std::vector<uint8_t> OutScDef;
 };
-
-/// Production entry point: native when possible, else the bytecode VM
-/// (one warning per process on the first fallback). \p Opts.CountSteps is
-/// forced on so VmRunResult::Steps stays meaningful either way.
-VmRunResult nativeRunWithFallback(const PRef &Body, VmMemory &Memory,
-                                  int64_t MaxSteps = int64_t(1) << 28,
-                                  const JitOptions &Opts = {});
 
 /// Hex SHA-256 of \p Data (exposed for cache tests).
 std::string jitSha256Hex(const std::string &Data);

@@ -4,8 +4,6 @@
 
 #include "support/assert.h"
 
-#include <atomic>
-
 using namespace etch;
 
 namespace {
@@ -65,11 +63,11 @@ SynRef cloneWith(const SynRef &S,
 /// Snapshots \p Target into a fresh temporary before running \p Skip: skip
 /// loops mutate the state the index expression reads, so the target must
 /// be latched first.
-PRef skipWithSnapshot(const std::function<PRef(ERef)> &Skip, ERef Target) {
-  static std::atomic<int> Counter{0}; // lowerings run concurrently
-  std::string T = "skt" + std::to_string(Counter++);
+PRef skipWithSnapshot(const std::function<PRef(ERef, NameGen &)> &Skip,
+                      ERef Target, NameGen &G) {
+  std::string T = G.fresh("skt");
   return PStmt::seq2(PStmt::declVar(T, ImpType::I64, std::move(Target)),
-                     Skip(eVarI(T)));
+                     Skip(eVarI(T), G));
 }
 
 /// Wraps one level in Σ: same iteration, dummy index, skip at own index
@@ -79,8 +77,12 @@ SynRef contractNode(const SynRef &S) {
   return cloneWith(S, [&](SynStream &C) {
     C.Contracted = true;
     C.Index = eConstI(0);
-    C.Skip0 = [S](ERef) { return skipWithSnapshot(S->Skip0, S->Index); };
-    C.Skip1 = [S](ERef) { return skipWithSnapshot(S->Skip1, S->Index); };
+    C.Skip0 = [S](ERef, NameGen &G) {
+      return skipWithSnapshot(S->Skip0, S->Index, G);
+    };
+    C.Skip1 = [S](ERef, NameGen &G) {
+      return skipWithSnapshot(S->Skip1, S->Index, G);
+    };
   });
 }
 
@@ -131,11 +133,11 @@ SynRef etch::synSparse(NameGen &G, const std::string &CrdArr, ERef Begin,
   S->Ready = S->Valid;
   S->Index = EExpr::access(CrdArr, ImpType::I64, eVarI(P));
   S->Value = MakeValue(eVarI(P));
-  S->Skip0 = [=](ERef I) {
+  S->Skip0 = [=](ERef I, NameGen &) {
     return emitSearch(CrdArr, P, E, Lo, Hi, Mid, Policy, std::move(I),
                       /*Strict=*/false);
   };
-  S->Skip1 = [=](ERef I) {
+  S->Skip1 = [=](ERef I, NameGen &) {
     return emitSearch(CrdArr, P, E, Lo, Hi, Mid, Policy, std::move(I),
                       /*Strict=*/true);
   };
@@ -171,7 +173,7 @@ SynRef etch::synHashed(NameGen &G, const std::string &CrdArr, ERef Begin,
   // (plus one when strict) — max() keeps the cursor monotone. On a miss,
   // the snapshot is sorted, so the policy search finds the bound.
   auto MakeSkip = [=](bool Strict) {
-    return [=](ERef I) {
+    return [=](ERef I, NameGen &) {
       auto KeyAt = [&] {
         return EExpr::access(KeyArr, ImpType::I64, eVarI(H));
       };
@@ -214,10 +216,10 @@ SynRef etch::synDense(NameGen &G, ERef Size,
   S->Ready = S->Valid;
   S->Index = eVarI(I);
   S->Value = MakeValue(eVarI(I));
-  S->Skip0 = [I](ERef J) {
+  S->Skip0 = [I](ERef J, NameGen &) {
     return PStmt::storeVar(I, eMaxI(eVarI(I), std::move(J)));
   };
-  S->Skip1 = [I](ERef J) {
+  S->Skip1 = [I](ERef J, NameGen &) {
     return PStmt::storeVar(I, eMaxI(eVarI(I), eAddI(std::move(J),
                                                     eConstI(1))));
   };
@@ -247,11 +249,11 @@ SynRef etch::synMul(NameGen &G, const ScalarAlgebra &Alg, const SynRef &A,
   else
     S->Value = SynValue{nullptr, synMul(G, Alg, A->Value.Inner,
                                         B->Value.Inner)};
-  S->Skip0 = [A, B](ERef I) {
-    return PStmt::seq2(A->Skip0(I), B->Skip0(I));
+  S->Skip0 = [A, B](ERef I, NameGen &G) {
+    return PStmt::seq2(A->Skip0(I, G), B->Skip0(I, G));
   };
-  S->Skip1 = [A, B](ERef I) {
-    return PStmt::seq2(A->Skip1(I), B->Skip1(I));
+  S->Skip1 = [A, B](ERef I, NameGen &G) {
+    return PStmt::seq2(A->Skip1(I, G), B->Skip1(I, G));
   };
   return S;
 }
@@ -260,11 +262,11 @@ SynRef etch::synMask(const SynRef &S, ERef Cond) {
   auto C = std::make_shared<SynStream>(*S);
   C->Init = PStmt::branch(Cond, S->Init, PStmt::noop());
   C->Valid = eAnd(Cond, S->Valid);
-  C->Skip0 = [S, Cond](ERef I) {
-    return PStmt::branch(Cond, S->Skip0(std::move(I)), PStmt::noop());
+  C->Skip0 = [S, Cond](ERef I, NameGen &G) {
+    return PStmt::branch(Cond, S->Skip0(std::move(I), G), PStmt::noop());
   };
-  C->Skip1 = [S, Cond](ERef I) {
-    return PStmt::branch(Cond, S->Skip1(std::move(I)), PStmt::noop());
+  C->Skip1 = [S, Cond](ERef I, NameGen &G) {
+    return PStmt::branch(Cond, S->Skip1(std::move(I), G), PStmt::noop());
   };
   return C;
 }
@@ -307,15 +309,15 @@ SynRef etch::synAdd(NameGen &G, const ScalarAlgebra &Alg, const SynRef &A,
                                         synMask(A->Value.Inner, EmitA),
                                         synMask(B->Value.Inner, EmitB))};
   }
-  S->Skip0 = [A, B](ERef I) {
+  S->Skip0 = [A, B](ERef I, NameGen &G) {
     return PStmt::seq2(
-        PStmt::branch(A->Valid, A->Skip0(I), PStmt::noop()),
-        PStmt::branch(B->Valid, B->Skip0(I), PStmt::noop()));
+        PStmt::branch(A->Valid, A->Skip0(I, G), PStmt::noop()),
+        PStmt::branch(B->Valid, B->Skip0(I, G), PStmt::noop()));
   };
-  S->Skip1 = [A, B](ERef I) {
+  S->Skip1 = [A, B](ERef I, NameGen &G) {
     return PStmt::seq2(
-        PStmt::branch(A->Valid, A->Skip1(I), PStmt::noop()),
-        PStmt::branch(B->Valid, B->Skip1(I), PStmt::noop()));
+        PStmt::branch(A->Valid, A->Skip1(I, G), PStmt::noop()),
+        PStmt::branch(B->Valid, B->Skip1(I, G), PStmt::noop()));
   };
   return S;
 }

@@ -13,7 +13,9 @@
 ///   - `Init`  : code establishing the initial state (paper's `init`);
 ///   - `Valid` : termination check; `Ready`, `Index` as in the model;
 ///   - `Skip0` / `Skip1`: code advancing the state to the first index
-///     >= i / > i (the split of `skip`'s boolean argument, as in Fig. 13);
+///     >= i / > i (the split of `skip`'s boolean argument, as in Fig. 13),
+///     built at code-generation time with the compilation's NameGen for
+///     any temporaries (so one program always lowers to one text);
 ///   - the value is either a scalar expression (leaf) or a nested
 ///     syntactic stream whose Init reads this level's state.
 ///
@@ -62,8 +64,10 @@ public:
   ERef Index;
   bool Contracted = false;
   SynValue Value;
-  std::function<PRef(ERef)> Skip0; ///< Advance to first index >= i.
-  std::function<PRef(ERef)> Skip1; ///< Advance to first index > i.
+  /// Advance to the first index >= i (Skip0) or > i (Skip1); temporaries
+  /// the skip needs are named from the compilation's generator.
+  std::function<PRef(ERef, NameGen &)> Skip0;
+  std::function<PRef(ERef, NameGen &)> Skip1;
 
   SynStream() = default;
 };

@@ -9,7 +9,6 @@
 #include "support/assert.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace etch {
 
@@ -21,16 +20,18 @@ Attr RealizedPlan::fresh(Attr A) const {
 
 RealizedPlan realizePlan(const PlanQuery &Q, const Plan &P,
                          const std::string &Tag) {
-  static std::atomic<unsigned> Counter{0};
   RealizedPlan R;
   R.Accesses = P.Accesses;
 
-  // Intern one fresh attribute per query attribute *in plan order*: the
-  // interning order is the global order, so the fresh shapes below come out
-  // sorted exactly when they follow the plan.
-  for (Attr A : P.Order) {
-    unsigned N = Counter.fetch_add(1);
-    Attr F = Attr::named(Tag + "_" + A.name() + "_" + std::to_string(N));
+  // One fresh attribute per plan position, named `<Tag>_<k>`: the interning
+  // order is the global order, and every realization interns positions
+  // 0, 1, ... in turn, so `<Tag>_<k>` precedes `<Tag>_<k+1>` for every plan
+  // under one tag. The fresh shapes below therefore come out sorted exactly
+  // when they follow the plan, and re-realizing a plan reuses the same
+  // attributes instead of growing the process-wide interner.
+  for (size_t K = 0; K < P.Order.size(); ++K) {
+    Attr A = P.Order[K];
+    Attr F = Attr::named(Tag + "_" + std::to_string(K));
     R.AttrMap[A.id()] = F;
     R.FreshDims.emplace_back(F, Q.dimOf(A));
   }

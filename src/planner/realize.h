@@ -42,7 +42,8 @@ struct RealizedPlan {
 };
 
 /// Realizes \p P for \p Q. \p Tag namespaces the fresh attribute names
-/// ("<tag>_<attr>_<n>") so repeated realizations never collide.
+/// ("<tag>_<k>" for plan position k), so realizing one plan twice yields
+/// the same attributes and the same program.
 RealizedPlan realizePlan(const PlanQuery &Q, const Plan &P,
                          const std::string &Tag);
 

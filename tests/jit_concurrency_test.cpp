@@ -18,7 +18,9 @@
 //  * the in-process handle cache is bounded: past the cap, LRU handles
 //    are dropped (counted in JitCacheStats), while kernels still pinned
 //    by a live NativeKernelRef keep working — eviction only drops the
-//    cache's reference, dlclose happens on the last release.
+//    cache's reference, dlclose happens on the last release;
+//  * lowering names its temporaries per compilation, so threads lowering
+//    one query at once all emit the same source (one content-address).
 //
 // The whole file runs under TSan in CI (see .github/workflows/ci.yml).
 //
@@ -66,10 +68,20 @@ struct ScopedCache {
   }
 };
 
+/// Lowers Σ x·y·z in a fresh context at optimization level \p Opt.
+PRef lowerTriple(int Opt) {
+  LowerCtx Ctx;
+  Ctx.OptLevel = Opt;
+  Ctx.setDim(AI(), 10);
+  Ctx.bind(sparseVecBinding("x", AI()));
+  Ctx.bind(sparseVecBinding("y", AI()));
+  Ctx.bind(sparseVecBinding("z", AI()));
+  return compileFullContraction(
+      Ctx, Expr::var("x") * Expr::var("y") * Expr::var("z"), "out");
+}
+
 /// Σ x·y·z over a fixed intersection; Opt splits the cache key so each
-/// level is a distinct kernel. Programs are lowered once and reused:
-/// re-lowering the same expression gensyms fresh internal names, which
-/// changes the emitted C and therefore the content-address.
+/// level is a distinct kernel.
 struct TripleFixture {
   SparseVector<double> X{10}, Y{10}, Z{10};
   PRef Progs[3];
@@ -81,16 +93,8 @@ struct TripleFixture {
       Y.push(I, V);
     for (auto [I, V] : {std::pair<Idx, double>{4, 10.0}, {7, 3.0}, {8, 1.0}})
       Z.push(I, V);
-    for (int Opt : {0, 1, 2}) {
-      LowerCtx Ctx;
-      Ctx.OptLevel = Opt;
-      Ctx.setDim(AI(), 10);
-      Ctx.bind(sparseVecBinding("x", AI()));
-      Ctx.bind(sparseVecBinding("y", AI()));
-      Ctx.bind(sparseVecBinding("z", AI()));
-      Progs[Opt] = compileFullContraction(
-          Ctx, Expr::var("x") * Expr::var("y") * Expr::var("z"), "out");
-    }
+    for (int Opt : {0, 1, 2})
+      Progs[Opt] = lowerTriple(Opt);
   }
   const PRef &compile(int Opt) const { return Progs[Opt]; }
   VmMemory memory() const {
@@ -107,6 +111,31 @@ double runKernel(const NativeKernelRef &K, const TripleFixture &F) {
   VmRunResult R = K->run(M);
   EXPECT_FALSE(R.Error.has_value());
   return std::get<double>(*M.getScalar("out"));
+}
+
+//===----------------------------------------------------------------------===//
+// Lowering from many threads
+//===----------------------------------------------------------------------===//
+
+TEST(JitConcurrency, ConcurrentLoweringsEmitIdenticalSource) {
+  // Skip latches and snapshots are named from each compilation's own
+  // generator, never a process counter: threads lowering the same query
+  // at once must emit byte-identical C.
+  TripleFixture F;
+  const VmMemory M = F.memory();
+  constexpr int Threads = 8;
+  std::vector<std::string> Sources(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&Sources, &M, T] {
+      Sources[T] = emitCProgram(lowerTriple(0), M, {{"out"}, {}});
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_NE(Sources[0].find("skc"), std::string::npos);
+  EXPECT_NE(Sources[0].find("skt"), std::string::npos);
+  for (int T = 1; T < Threads; ++T)
+    EXPECT_EQ(Sources[T], Sources[0]) << "thread " << T;
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,12 +8,12 @@
 // observable semantics exactly — identical step counts (when compiled
 // step-counting), identical error text, bit-identical outputs — plus a
 // content-addressed kernel cache with specific hit/miss/corruption
-// behavior and a degrade-don't-abort fallback. These tests pin all of
+// behavior and a decline-don't-abort failure path. These tests pin all of
 // it: golden parity on the compiled Fig. 2 / SpMV / hash-destination
 // programs against both the tree VM and the denotational oracle, cache
 // key discrimination and reuse counters, corrupted-entry recompilation,
-// the bogus-compiler fallback, error/step-budget text parity, prepared
-// NativeCall re-invocation, and cache-directory hygiene.
+// the bogus-compiler and size-cap declines, error/step-budget text parity,
+// prepared NativeCall re-invocation, and cache-directory hygiene.
 //
 // Every test that touches the cache uses its own directory under the
 // gtest temp dir (via JitOptions::CacheDir), so runs never litter $PWD,
@@ -381,6 +381,22 @@ TEST(JitNative, BindingTypeMismatchMatchesBytecodeText) {
   ASSERT_TRUE(BcR.Error.has_value());
   EXPECT_EQ(*NatR.Error, *BcR.Error);
   EXPECT_EQ(*NatR.Error, "scalar 'x' is bound as i64 but used as f64");
+
+  // Memory is untouched on a binding error, even an array the program
+  // would have written in place.
+  PRef Writes = PStmt::seq2(PStmt::storeArr("buf", eConstI(0), eConstF(5.0)),
+                            Prog);
+  Init.setArrayF64("buf", {0.0, 0.0});
+  NativeKernelRef KW = jitCompile(Writes, Cache.opts(), &Err);
+  ASSERT_NE(KW, nullptr) << Err;
+  VmMemory WM = Init;
+  VmRunResult WR = KW->run(WM);
+  ASSERT_TRUE(WR.Error.has_value());
+  EXPECT_EQ(*WR.Error, "scalar 'x' is bound as i64 but used as f64");
+  EXPECT_FALSE(WM.getScalar("out").has_value());
+  EXPECT_EQ(std::get<int64_t>(*WM.getScalar("x")), 7);
+  ASSERT_NE(WM.getArray("buf"), nullptr);
+  EXPECT_EQ(*WM.getArray("buf"), *Init.getArray("buf"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -433,13 +449,11 @@ TEST(JitNative, KeyDiscriminatesProgramOptionsAndLayout) {
   ASSERT_NE(Fast, nullptr) << Err;
   EXPECT_NE(Fast->key(), O2->key());
 
-  // A caller-supplied tag (e.g. a format-layout fingerprint) splits the
-  // key even for byte-identical source.
-  JitOptions Tagged = Cache.opts();
-  Tagged.ExtraKey = "layout=v2";
-  NativeKernelRef Tag = jitCompile(F.compile(2), Tagged, &Err);
-  ASSERT_NE(Tag, nullptr) << Err;
-  EXPECT_NE(Tag->key(), O2->key());
+  // The key is a function of the program alone: a fresh lowering of the
+  // same contraction lands on the same kernel.
+  NativeKernelRef Again = jitCompile(F.compile(2), Cache.opts(), &Err);
+  ASSERT_NE(Again, nullptr) << Err;
+  EXPECT_EQ(Again->key(), O2->key());
 
   // A different level format for the same logical expression (hashed
   // instead of sorted-compressed x) lowers to different probe code.
@@ -566,6 +580,8 @@ TEST(JitNative, PreparedCallRepeatedInvokeIsStable) {
   VmRunResult TreeR = vmRun(Prog, TreeM);
   ASSERT_FALSE(TreeR.Error.has_value());
   int64_t Want = std::get<int64_t>(*TreeM.getScalar("gcnt"));
+  const std::vector<ImpValue> &WantKey = *TreeM.getArray("gkey");
+  const std::vector<ImpValue> &WantVal = *TreeM.getArray("gval");
 
   ScopedCache Cache("prepared");
   std::string Err;
@@ -579,6 +595,17 @@ TEST(JitNative, PreparedCallRepeatedInvokeIsStable) {
     auto Got = Call.scalar("gcnt");
     ASSERT_TRUE(Got.has_value());
     EXPECT_EQ(std::get<int64_t>(*Got), Want) << "invoke " << I;
+    // The tables the kernel filled in place read back bit-identical to
+    // the tree VM's, invoke after invoke.
+    auto GotKey = Call.array("gkey");
+    auto GotVal = Call.array("gval");
+    ASSERT_TRUE(GotKey && GotVal) << "invoke " << I;
+    ASSERT_EQ(GotKey->size(), WantKey.size());
+    ASSERT_EQ(GotVal->size(), WantVal.size());
+    for (size_t J = 0; J < WantKey.size(); ++J) {
+      EXPECT_TRUE(bitsEq((*GotKey)[J], WantKey[J])) << "invoke " << I;
+      EXPECT_TRUE(bitsEq((*GotVal)[J], WantVal[J])) << "invoke " << I;
+    }
   }
   // bind()'s source memory is never written.
   EXPECT_FALSE(Init.getScalar("gcnt").has_value());
@@ -589,9 +616,9 @@ TEST(JitNative, PreparedCallRepeatedInvokeIsStable) {
 //===----------------------------------------------------------------------===//
 
 TEST(JitNative, BogusCompilerFallsBackToBytecode) {
-  // Point the toolchain at a nonexistent compiler: jitCompile must fail
-  // with a diagnostic (not abort), and nativeRunWithFallback must still
-  // produce the correct result via the bytecode VM.
+  // Point the toolchain at a nonexistent compiler: jitCompile must decline
+  // with a diagnostic (not abort). The caller runs bytecode and names the
+  // reason (Serve.BogusCompilerDegradesToANamedBytecodePlan).
   const char *OldCc = std::getenv("ETCH_CC");
   std::string Saved = OldCc ? OldCc : "";
   setenv("ETCH_CC", "/nonexistent/etch-no-such-cc", 1);
@@ -604,16 +631,7 @@ TEST(JitNative, BogusCompilerFallsBackToBytecode) {
   PRef Prog = F.compile(2);
   std::string Err;
   EXPECT_EQ(jitCompile(Prog, {}, &Err), nullptr);
-  EXPECT_FALSE(Err.empty());
-
-  VmMemory M = F.memory();
-  VmRunResult R = nativeRunWithFallback(Prog, M);
-  ASSERT_FALSE(R.Error.has_value()) << *R.Error;
-  EXPECT_EQ(std::get<double>(*M.getScalar("out")), 90.0);
-  // Steps stay meaningful on the fallback path (parity with the tree VM).
-  VmMemory TreeM = F.memory();
-  VmRunResult TreeR = vmRun(Prog, TreeM);
-  EXPECT_EQ(R.Steps, TreeR.Steps);
+  EXPECT_EQ(Err.rfind("no native toolchain: ", 0), 0u) << Err;
 
   // Restore the real toolchain for the remaining tests.
   if (OldCc)
@@ -642,15 +660,6 @@ TEST(JitNative, SourceSizeCapDeclinesAndFallsBack) {
   EXPECT_EQ(jitCacheStats().Compiles, 0u);
   std::error_code Ec;
   EXPECT_TRUE(!fs::exists(Cache.Dir, Ec) || fs::is_empty(Cache.Dir, Ec));
-
-  // Production entry point degrades to the bytecode VM, same answer,
-  // same step count as the tree VM.
-  VmMemory M = F.memory();
-  VmRunResult R = nativeRunWithFallback(Prog, M, int64_t(1) << 28, JO);
-  ASSERT_FALSE(R.Error.has_value()) << *R.Error;
-  EXPECT_EQ(std::get<double>(*M.getScalar("out")), 90.0);
-  VmMemory TreeM = F.memory();
-  EXPECT_EQ(R.Steps, vmRun(Prog, TreeM).Steps);
 
   // The default cap leaves ~100x headroom over real kernels: the same
   // program compiles untouched under default options.

@@ -671,3 +671,59 @@ TEST(PlannerRealize, InstallPlanSetsBindingsAndDims) {
   EXPECT_EQ(Ctx.dimOf(RP.fresh(plJ())), 18);
   EXPECT_EQ(Ctx.dimOf(RP.fresh(plK())), 9);
 }
+
+TEST(PlannerRealize, FreshAttributesAreNamedByPlanPosition) {
+  // Fresh attributes are `<tag>_<k>` by plan position, so realizing one
+  // plan twice gives the same attributes (the interner does not grow per
+  // realization), and plans of different arity under one tag still come
+  // out sorted: positions are always interned in increasing order.
+  Rng R(31);
+  auto A = randomCsr(R, 12, 18, 40);
+  auto B = randomCsr(R, 18, 9, 40);
+  auto C = randomCsr(R, 12, 18, 40);
+  auto M3 = matmulQuery(A, B);
+
+  // Σ_i Σ_j A(i,j)·C(i,j): two attributes.
+  TypeContext Ctx;
+  Ctx["A"] = Shape{plI(), plJ()};
+  Ctx["C"] = Shape{plI(), plJ()};
+  std::string Err;
+  ExprPtr E2 = sumAll(mulExpand(Expr::var("A"), Expr::var("C"), Ctx), Ctx,
+                      &Err);
+  ASSERT_TRUE(E2) << Err;
+  std::map<std::string, TensorStats> Stats;
+  Stats["A"] = statsOfCsr("A", A, plI(), plJ());
+  Stats["C"] = statsOfCsr("C", C, plI(), plJ());
+  auto Q2 = extractQuery(E2, Ctx, Stats, {}, &Err);
+  ASSERT_TRUE(Q2) << Err;
+
+  auto P2 = bestPlan(*Q2);
+  auto P3 = bestPlan(M3.Q);
+  ASSERT_TRUE(P2 && P3);
+  ASSERT_EQ(P2->Order.size(), 2u);
+  ASSERT_EQ(P3->Order.size(), 3u);
+
+  auto ExpectSorted = [](const RealizedPlan &RP) {
+    for (const TensorBinding &Bd : RP.Bindings)
+      EXPECT_TRUE(std::is_sorted(Bd.Shp.begin(), Bd.Shp.end())) << Bd.Name;
+  };
+  const std::string Tag = "pt_pos";
+  RealizedPlan First = realizePlan(*Q2, *P2, Tag);
+  RealizedPlan Again = realizePlan(*Q2, *P2, Tag);
+  ASSERT_EQ(First.FreshDims.size(), Again.FreshDims.size());
+  for (size_t K = 0; K < First.FreshDims.size(); ++K) {
+    EXPECT_EQ(First.FreshDims[K].first, Again.FreshDims[K].first);
+    EXPECT_EQ(First.FreshDims[K].first.name(), Tag + "_" + std::to_string(K));
+  }
+  for (Attr Q : P2->Order)
+    EXPECT_EQ(First.fresh(Q), Again.fresh(Q));
+  ExpectSorted(First);
+
+  RealizedPlan Wide = realizePlan(M3.Q, *P3, Tag);
+  ExpectSorted(Wide);
+  EXPECT_EQ(Wide.fresh(P3->Order[0]), First.fresh(P2->Order[0]));
+  RealizedPlan Narrow = realizePlan(*Q2, *P2, Tag);
+  ExpectSorted(Narrow);
+  for (Attr Q : P2->Order)
+    EXPECT_EQ(Narrow.fresh(Q), First.fresh(Q));
+}

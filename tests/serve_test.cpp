@@ -252,6 +252,37 @@ TEST(Serve, WriteInvalidatesOnlyPlansReadingThatTensor) {
   EXPECT_EQ(Svc->planStats().PlannerRuns, 4u);
 }
 
+TEST(Serve, ReplanOfTheSameShapeReusesItsKernel) {
+  // A write to x invalidates {A,x}; the next query re-plans (a plan-cache
+  // miss) but lowers to the same program, so the content-addressed JIT
+  // serves the kernel it already has and the C compiler never runs.
+  ServeData Data;
+  ScopedService Svc("replan-same-kernel", Data);
+  const ServeQuery Q{{"A", "x"}};
+  ServeResult First = Svc->query(Q);
+  ASSERT_TRUE(First.Ok) << First.Error;
+  const uint64_t Compiles = jitCacheStats().Compiles;
+
+  // Bump a stored weight: same coordinates and statistics, new version.
+  ASSERT_NE(Svc->appendSparse("x", {{Data.X.Crd[0], 1.5}}), 0u);
+  ServeResult Again = Svc->query(Q);
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_FALSE(Again.PlanCacheHit);
+  EXPECT_EQ(Svc->planStats().PlannerRuns, 2u);
+  EXPECT_EQ(Again.Backend, First.Backend);
+  EXPECT_EQ(jitCacheStats().Compiles, Compiles);
+
+  // Bit-identical to a fresh service loaded with the written data.
+  ServeData Fresh = Data;
+  Fresh.X = Svc->snapshot()->find("x")->Sparse;
+  ScopedService FreshSvc("replan-fresh", Fresh);
+  ServeResult Want = FreshSvc->query(Q);
+  ASSERT_TRUE(Want.Ok) << Want.Error;
+  EXPECT_TRUE(sameBits(Again.Value, Want.Value))
+      << Again.Value << " vs " << Want.Value;
+  EXPECT_NEAR(Want.Value, refSpmv(Data.A, Fresh.X), 1e-9);
+}
+
 TEST(Serve, UnknownTensorFailsWithoutCachingAnything) {
   ServeData Data;
   ScopedService Svc("unknown", Data);

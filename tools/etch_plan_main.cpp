@@ -18,10 +18,11 @@
 /// `--execute` realizes the winning plan, binds the demo data (transposed
 /// where the plan says so), compiles it, and runs it on the chosen
 /// executor: the tree VM, the bytecode VM, or the JIT-to-native backend.
-/// The native backend goes through nativeRunWithFallback — a machine
-/// without a C compiler still executes (bytecode, with a warning) — and
-/// runs the kernel twice to show the content-addressed cache at work,
-/// reporting the jit cache counters.
+/// The native backend compiles the kernel with jitCompile and runs it
+/// twice to show the content-addressed cache at work, reporting the jit
+/// cache counters. When the JIT declines (no C compiler, a compile error,
+/// the source-size cap) the tool prints `executor: bytecode (<reason>)`,
+/// the wording of prepareContraction's EXPLAIN, and runs the bytecode VM.
 ///
 /// Exit status is nonzero on planner failure — the CI smoke invocation
 /// relies on this.
@@ -151,14 +152,29 @@ int executeMatmulPlan(const Plan &P, const PlanQuery &Q,
   };
   PRef Prog = compileFullContraction(Ctx, RP.E, "out");
 
+  // The native backend needs its kernel up front; a declined JIT is named,
+  // never hidden, and the plan runs on the bytecode VM instead.
+  std::string Backend = O.Backend;
+  JitOptions JO;
+  JO.CountSteps = true; // Steps stay comparable across backends.
+  NativeKernelRef K;
+  if (Backend == "native") {
+    std::string Why;
+    K = jitCompile(Prog, JO, &Why);
+    if (!K) {
+      std::printf("executor: bytecode (%s)\n", Why.c_str());
+      Backend = "bytecode";
+    }
+  }
+
   auto RunOnce = [&](VmMemory &M, VmRunResult &R) {
     Timer T;
-    if (O.Backend == "tree")
+    if (Backend == "tree")
       R = vmRun(Prog, M);
-    else if (O.Backend == "bytecode")
+    else if (Backend == "bytecode")
       R = bytecodeCompileAndRun(Prog, M);
     else
-      R = nativeRunWithFallback(Prog, M);
+      R = K->run(M);
     return T.seconds();
   };
 
@@ -173,11 +189,18 @@ int executeMatmulPlan(const Plan &P, const PlanQuery &Q,
   }
   std::printf("executed winner on the %s backend: out = %.17g   "
               "(%lld steps, %.3f ms)\n",
-              O.Backend.c_str(), std::get<double>(*M.getScalar("out")),
+              Backend.c_str(), std::get<double>(*M.getScalar("out")),
               static_cast<long long>(R.Steps), Sec * 1e3);
-  if (O.Backend == "native") {
+  if (K) {
     // A second execution of the same plan: the content-addressed cache
     // serves the kernel without touching the C compiler again.
+    std::string Why;
+    K = jitCompile(Prog, JO, &Why);
+    if (!K) {
+      std::fprintf(stderr, "etch-plan: cached kernel lookup failed: %s\n",
+                   Why.c_str());
+      return 1;
+    }
     VmMemory M2;
     Bind(M2);
     VmRunResult R2;
