@@ -9,29 +9,40 @@
 #include "support/assert.h"
 
 #include <algorithm>
-#include <set>
+#include <numeric>
 #include <sstream>
 
 namespace etch {
 
-Shape TensorStats::shape() const {
-  Shape S;
-  S.reserve(Levels.size());
-  for (const LevelStat &L : Levels)
-    S.push_back(L.A);
-  return S;
+int64_t countDistinct(const std::vector<Idx> &Crd, int64_t Extent) {
+  // A byte per extent slot costs no more than the sorted copy's eight
+  // bytes per entry while the extent is within 8x the entry count.
+  if (Extent <= 8 * static_cast<int64_t>(Crd.size())) {
+    std::vector<uint8_t> Seen(static_cast<size_t>(Extent), 0);
+    int64_t D = 0;
+    for (Idx C : Crd) {
+      ETCH_ASSERT(C >= 0 && C < Extent, "coordinate out of extent");
+      D += !Seen[static_cast<size_t>(C)];
+      Seen[static_cast<size_t>(C)] = 1;
+    }
+    return D;
+  }
+  std::vector<Idx> Copy = Crd;
+  std::sort(Copy.begin(), Copy.end());
+  return std::unique(Copy.begin(), Copy.end()) - Copy.begin();
 }
 
-int64_t TensorStats::distinctOf(Attr A) const {
-  const LevelStat *L = level(A);
-  return L ? L->Distinct : 0;
-}
-
-const LevelStat *TensorStats::level(Attr A) const {
-  for (const LevelStat &L : Levels)
-    if (L.A == A)
-      return &L;
-  return nullptr;
+TensorStats statsFromCounts(std::string Name, int64_t Nnz,
+                            std::vector<LevelStat> Levels,
+                            const std::vector<int64_t> &Fibers) {
+  ETCH_ASSERT(Fibers.size() == Levels.size(),
+              "one fiber count per level required");
+  for (size_t L = 0; L < Levels.size(); ++L) {
+    const double Parents = L == 0 ? 1.0 : static_cast<double>(Fibers[L - 1]);
+    Levels[L].AvgFill =
+        Parents == 0.0 ? 0.0 : static_cast<double>(Fibers[L]) / Parents;
+  }
+  return {std::move(Name), Nnz, std::move(Levels)};
 }
 
 TensorStats statsFromTuples(std::string Name,
@@ -42,35 +53,34 @@ TensorStats statsFromTuples(std::string Name,
   const size_t Order = LevelAttrs.size();
   ETCH_ASSERT(Kinds.size() == Order && Extents.size() == Order,
               "per-level vectors must agree in length");
-  TensorStats S;
-  S.Name = std::move(Name);
-  S.Nnz = static_cast<int64_t>(Tuples.size());
-  // Distinct coordinates per attribute and distinct prefixes per depth, the
-  // latter feeding the AvgFill branching factor.
-  std::vector<std::set<Idx>> PerAttr(Order);
-  std::vector<std::set<Tuple>> Prefixes(Order);
-  for (const Tuple &T : Tuples) {
+  for (const Tuple &T : Tuples)
     ETCH_ASSERT(T.size() == Order, "tuple arity mismatch");
-    Tuple Prefix;
-    for (size_t L = 0; L < Order; ++L) {
-      PerAttr[L].insert(T[L]);
-      Prefix.push_back(T[L]);
-      Prefixes[L].insert(Prefix);
-    }
+  // Canonical order by index, without copying a tuple. In that order an
+  // entry opens a new fiber at every level from the first coordinate
+  // where it differs from its predecessor on; a repeat opens none.
+  std::vector<size_t> Ord(Tuples.size());
+  std::iota(Ord.begin(), Ord.end(), size_t(0));
+  std::sort(Ord.begin(), Ord.end(),
+            [&](size_t A, size_t B) { return Tuples[A] < Tuples[B]; });
+  std::vector<int64_t> Fibers(Order, Ord.empty() ? 0 : 1);
+  for (size_t I = 1; I < Ord.size(); ++I) {
+    const Tuple &P = Tuples[Ord[I - 1]], &T = Tuples[Ord[I]];
+    size_t L = 0;
+    while (L < Order && P[L] == T[L])
+      ++L;
+    for (; L < Order; ++L)
+      ++Fibers[L];
   }
+  std::vector<LevelStat> Levels;
+  std::vector<Idx> Crd(Tuples.size());
   for (size_t L = 0; L < Order; ++L) {
-    LevelStat St;
-    St.A = LevelAttrs[L];
-    St.Kind = Kinds[L];
-    St.Extent = Extents[L];
-    St.Distinct = static_cast<int64_t>(PerAttr[L].size());
-    const double Parents =
-        L == 0 ? 1.0 : static_cast<double>(Prefixes[L - 1].size());
-    St.AvgFill =
-        Parents == 0.0 ? 0.0 : static_cast<double>(Prefixes[L].size()) / Parents;
-    S.Levels.push_back(St);
+    for (size_t I = 0; I < Tuples.size(); ++I)
+      Crd[I] = Tuples[I][L];
+    Levels.push_back({LevelAttrs[L], Kinds[L], Extents[L],
+                      L == 0 ? Fibers[0] : countDistinct(Crd, Extents[L])});
   }
-  return S;
+  return statsFromCounts(std::move(Name), static_cast<int64_t>(Tuples.size()),
+                         std::move(Levels), Fibers);
 }
 
 std::string statsToString(const TensorStats &S) {

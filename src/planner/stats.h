@@ -18,9 +18,11 @@
 /// as cardinality estimation from column statistics in relational
 /// optimizers, specialized to the level-format vocabulary of Section 7.3).
 ///
+/// The counts are read off the stored levels (Chou et al., *Format
+/// Abstraction*): fibers are non-empty `pos` segments, nnz is the innermost
+/// `crd` length, and distinct counts take one flat pass over a `crd`.
 /// Builders exist for every owning format in src/formats/ and for raw
-/// coordinate tuples (used by the fuzzer's entry lists and the relational
-/// edge lists).
+/// coordinate tuples (the fuzzer's entry lists and relational edge lists).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,7 @@
 #include "formats/matrices.h"
 #include "formats/vectors.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,20 +69,32 @@ struct TensorStats {
   /// is one pass over the entries. Set for single-level formats only
   /// (hashed levels are outermost-only).
   bool CanHash = false;
-
-  /// Stored attribute sequence, outermost first.
-  Shape shape() const;
-
-  /// Distinct count for attribute \p A, or 0 if the tensor lacks it.
-  int64_t distinctOf(Attr A) const;
-
-  /// The level stat for \p A, or nullptr.
-  const LevelStat *level(Attr A) const;
 };
 
-/// Core builder: statistics from distinct, in-extent coordinate tuples
-/// (one per stored nonzero, each aligned with \p LevelAttrs). \p Kinds and
-/// \p Extents are per level. Tuples need not be sorted.
+/// Distinct values among \p Crd, each in [0, \p Extent): a seen-array when
+/// the extent is at most 8x the entry count, else a sort-unique of a copy,
+/// so a hypersparse level never allocates in proportion to its extent.
+int64_t countDistinct(const std::vector<Idx> &Crd, int64_t Extent);
+
+/// Non-empty segments [Pos[i], Pos[i + 1]) of a level's `pos`.
+inline int64_t nonEmptySegments(const std::vector<size_t> &Pos) {
+  int64_t N = 0;
+  for (size_t I = 1; I < Pos.size(); ++I)
+    N += Pos[I] > Pos[I - 1];
+  return N;
+}
+
+/// Statistics from counts read off canonical storage: \p Levels carry all
+/// but AvgFill, and \p Fibers[L] counts the distinct coordinate prefixes
+/// of length L + 1, so that AvgFill[L] is Fibers[L] / Fibers[L - 1].
+TensorStats statsFromCounts(std::string Name, int64_t Nnz,
+                            std::vector<LevelStat> Levels,
+                            const std::vector<int64_t> &Fibers);
+
+/// Statistics from in-extent coordinate tuples aligned with \p LevelAttrs
+/// (\p Kinds and \p Extents are per level). Tuples may come in any order
+/// and repeat: they are sorted by index and counted as the format builders
+/// count, a repeat adding nothing. `Nnz` is `Tuples.size()`.
 TensorStats statsFromTuples(std::string Name,
                             const std::vector<Attr> &LevelAttrs,
                             const std::vector<LevelSpec::Kind> &Kinds,
@@ -87,88 +102,77 @@ TensorStats statsFromTuples(std::string Name,
                             const std::vector<Tuple> &Tuples);
 
 /// Format-specific builders, mirroring the bind*/``*Binding`` helpers of
-/// compiler/frontend.h.
-template <typename V>
-TensorStats statsOfCsr(std::string Name, const CsrMatrix<V> &M, Attr Row,
-                       Attr Col) {
-  std::vector<Tuple> Tuples;
-  Tuples.reserve(M.nnz());
-  for (Idx R = 0; R < M.NumRows; ++R)
-    for (size_t Q = M.Pos[static_cast<size_t>(R)];
-         Q < M.Pos[static_cast<size_t>(R) + 1]; ++Q)
-      Tuples.push_back({R, M.Crd[Q]});
-  TensorStats S = statsFromTuples(
-      std::move(Name), {Row, Col}, {LevelSpec::Dense, LevelSpec::Compressed},
-      {M.NumRows, M.NumCols}, Tuples);
+/// compiler/frontend.h. Each reads its own levels and expects canonical
+/// storage: coordinates sorted and unique within every fiber, and no
+/// empty fiber below a compressed level. A dense vector's entries are its
+/// nonzeros (`-0.0` is zero).
+template <typename M>
+TensorStats statsOfMatrix(std::string Name, const M &X,
+                          LevelSpec::Kind RowKind, Attr Row, Attr Col) {
+  const int64_t Rows = nonEmptySegments(X.Pos), Nnz = X.nnz();
+  const int64_t Cols = countDistinct(X.Crd, X.NumCols);
+  TensorStats S = statsFromCounts(
+      std::move(Name), Nnz,
+      {{Row, RowKind, X.NumRows, Rows},
+       {Col, LevelSpec::Compressed, X.NumCols, Cols}},
+      {Rows, Nnz});
   S.CanTranspose = true;
   return S;
 }
 
 template <typename V>
+TensorStats statsOfCsr(std::string Name, const CsrMatrix<V> &M, Attr Row,
+                       Attr Col) {
+  return statsOfMatrix(std::move(Name), M, LevelSpec::Dense, Row, Col);
+}
+
+template <typename V>
 TensorStats statsOfDcsr(std::string Name, const DcsrMatrix<V> &M, Attr Row,
                         Attr Col) {
-  std::vector<Tuple> Tuples;
-  Tuples.reserve(M.nnz());
-  for (size_t RQ = 0; RQ < M.RowCrd.size(); ++RQ)
-    for (size_t Q = M.Pos[RQ]; Q < M.Pos[RQ + 1]; ++Q)
-      Tuples.push_back({M.RowCrd[RQ], M.Crd[Q]});
-  TensorStats S = statsFromTuples(std::move(Name), {Row, Col},
-                                  {LevelSpec::Compressed, LevelSpec::Compressed},
-                                  {M.NumRows, M.NumCols}, Tuples);
-  S.CanTranspose = true;
+  return statsOfMatrix(std::move(Name), M, LevelSpec::Compressed, Row, Col);
+}
+
+/// One level holding \p N distinct coordinates; hashable unless dense.
+inline TensorStats statsOfVector(std::string Name, LevelSpec::Kind Kind,
+                                 Attr A, int64_t Extent, int64_t N) {
+  TensorStats S =
+      statsFromCounts(std::move(Name), N, {{A, Kind, Extent, N}}, {N});
+  S.CanHash = Kind != LevelSpec::Dense;
   return S;
 }
 
 template <typename V>
 TensorStats statsOfSparseVector(std::string Name, const SparseVector<V> &X,
                                 Attr A) {
-  std::vector<Tuple> Tuples;
-  Tuples.reserve(X.Crd.size());
-  for (Idx C : X.Crd)
-    Tuples.push_back({C});
-  TensorStats S = statsFromTuples(std::move(Name), {A},
-                                  {LevelSpec::Compressed}, {X.Size}, Tuples);
-  S.CanHash = true;
-  return S;
+  return statsOfVector(std::move(Name), LevelSpec::Compressed, A, X.Size,
+                       X.nnz());
 }
 
 template <typename V>
 TensorStats statsOfHashedVector(std::string Name, const HashedVector<V> &X,
                                 Attr A) {
-  std::vector<Tuple> Tuples;
-  Tuples.reserve(X.Crd.size());
-  for (Idx C : X.Crd)
-    Tuples.push_back({C});
-  TensorStats S = statsFromTuples(std::move(Name), {A}, {LevelSpec::Hashed},
-                                  {X.Size}, Tuples);
-  S.CanHash = true;
-  return S;
+  return statsOfVector(std::move(Name), LevelSpec::Hashed, A, X.Size, X.nnz());
 }
 
 template <typename V>
 TensorStats statsOfDenseVector(std::string Name, const DenseVector<V> &X,
                                Attr A) {
-  std::vector<Tuple> Tuples;
-  for (size_t I = 0; I < X.Val.size(); ++I)
-    if (X.Val[I] != V())
-      Tuples.push_back({static_cast<Idx>(I)});
-  return statsFromTuples(std::move(Name), {A}, {LevelSpec::Dense}, {X.Size},
-                         Tuples);
+  return statsOfVector(
+      std::move(Name), LevelSpec::Dense, A, X.Size,
+      std::count_if(X.Val.begin(), X.Val.end(), [](V Y) { return Y != V(); }));
 }
 
 template <typename V>
 TensorStats statsOfCsf3(std::string Name, const CsfTensor3<V> &T, Attr I,
                         Attr J, Attr K) {
-  std::vector<Tuple> Tuples;
-  Tuples.reserve(T.Val.size());
-  for (size_t P0 = 0; P0 < T.Crd0.size(); ++P0)
-    for (size_t P1 = T.Pos0[P0]; P1 < T.Pos0[P0 + 1]; ++P1)
-      for (size_t P2 = T.Pos1[P1]; P2 < T.Pos1[P1 + 1]; ++P2)
-        Tuples.push_back({T.Crd0[P0], T.Crd1[P1], T.Crd2[P2]});
-  return statsFromTuples(
-      std::move(Name), {I, J, K},
-      {LevelSpec::Compressed, LevelSpec::Compressed, LevelSpec::Compressed},
-      {T.DimI, T.DimJ, T.DimK}, Tuples);
+  const int64_t Is = nonEmptySegments(T.Pos0), Ijs = nonEmptySegments(T.Pos1),
+                Nnz = T.Crd2.size();
+  return statsFromCounts(
+      std::move(Name), Nnz,
+      {{I, LevelSpec::Compressed, T.DimI, Is},
+       {J, LevelSpec::Compressed, T.DimJ, countDistinct(T.Crd1, T.DimJ)},
+       {K, LevelSpec::Compressed, T.DimK, countDistinct(T.Crd2, T.DimK)}},
+      {Is, Ijs, Nnz});
 }
 
 /// Renders one tensor's statistics on a single line, for EXPLAIN and the

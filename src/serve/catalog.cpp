@@ -23,6 +23,16 @@ CatalogTensorRef CatalogSnapshot::find(const std::string &Name) const {
   return It == Tensors.end() ? nullptr : It->second;
 }
 
+/// An empty version of \p Name, for its payload and stats to fill.
+static std::shared_ptr<CatalogTensor>
+newVersion(const std::string &Name, CatalogTensor::Kind K, Shape Shp) {
+  auto T = std::make_shared<CatalogTensor>();
+  T->Name = Name;
+  T->K = K;
+  T->Shp = std::move(Shp);
+  return T;
+}
+
 TensorCatalog::TensorCatalog() : Snap(std::make_shared<CatalogSnapshot>()) {}
 
 CatalogSnapshotRef TensorCatalog::snapshot() const {
@@ -43,53 +53,38 @@ uint64_t TensorCatalog::installLocked(std::shared_ptr<CatalogTensor> T) {
   return Snap->epoch();
 }
 
-uint64_t TensorCatalog::putCsr(const std::string &Name, CsrMatrix<double> M,
-                               Attr Row, Attr Col) {
-  ETCH_ASSERT(Row < Col, "attributes must follow the global order");
+uint64_t TensorCatalog::replace(std::shared_ptr<CatalogTensor> T) {
   std::lock_guard<std::mutex> W(WriterMu);
-  auto T = std::make_shared<CatalogTensor>();
-  T->Name = Name;
-  T->K = CatalogTensor::Kind::Csr;
-  T->Shp = {Row, Col};
-  T->Stats = statsOfCsr(Name, M, Row, Col);
-  T->Csr = std::move(M);
   {
     std::lock_guard<std::mutex> L(Mu);
     ++WriteStats.Replaces;
   }
   return installLocked(std::move(T));
+}
+
+uint64_t TensorCatalog::putCsr(const std::string &Name, CsrMatrix<double> M,
+                               Attr Row, Attr Col) {
+  ETCH_ASSERT(Row < Col, "attributes must follow the global order");
+  auto T = newVersion(Name, CatalogTensor::Kind::Csr, {Row, Col});
+  T->Stats = statsOfCsr(Name, M, Row, Col);
+  T->Csr = std::move(M);
+  return replace(std::move(T));
 }
 
 uint64_t TensorCatalog::putSparse(const std::string &Name,
                                   SparseVector<double> V, Attr A) {
-  std::lock_guard<std::mutex> W(WriterMu);
-  auto T = std::make_shared<CatalogTensor>();
-  T->Name = Name;
-  T->K = CatalogTensor::Kind::Sparse;
-  T->Shp = {A};
+  auto T = newVersion(Name, CatalogTensor::Kind::Sparse, {A});
   T->Stats = statsOfSparseVector(Name, V, A);
   T->Sparse = std::move(V);
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++WriteStats.Replaces;
-  }
-  return installLocked(std::move(T));
+  return replace(std::move(T));
 }
 
 uint64_t TensorCatalog::putDense(const std::string &Name,
                                  DenseVector<double> V, Attr A) {
-  std::lock_guard<std::mutex> W(WriterMu);
-  auto T = std::make_shared<CatalogTensor>();
-  T->Name = Name;
-  T->K = CatalogTensor::Kind::Dense;
-  T->Shp = {A};
+  auto T = newVersion(Name, CatalogTensor::Kind::Dense, {A});
   T->Stats = statsOfDenseVector(Name, V, A);
   T->Dense = std::move(V);
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++WriteStats.Replaces;
-  }
-  return installLocked(std::move(T));
+  return replace(std::move(T));
 }
 
 uint64_t TensorCatalog::appendCsr(const std::string &Name,
@@ -100,9 +95,8 @@ uint64_t TensorCatalog::appendCsr(const std::string &Name,
     return 0;
   const CsrMatrix<double> &M = Old->Csr;
   for (const CooEntry<double> &E : Delta)
-    ETCH_ASSERT(E.Row >= 0 && E.Row < M.NumRows && E.Col >= 0 &&
-                    E.Col < M.NumCols,
-                "append entry out of range");
+    if (E.Row < 0 || E.Row >= M.NumRows || E.Col < 0 || E.Col >= M.NumCols)
+      return 0; // Client input: reject the whole batch, install nothing.
   // Sort only the delta; the predecessor is already row-major. One
   // two-pointer merge pass per row builds the successor, dropping sums
   // that cancel to exact zero.
@@ -144,10 +138,7 @@ uint64_t TensorCatalog::appendCsr(const std::string &Name,
     }
     Next.Pos.push_back(Next.Crd.size());
   }
-  auto T = std::make_shared<CatalogTensor>();
-  T->Name = Name;
-  T->K = CatalogTensor::Kind::Csr;
-  T->Shp = Old->Shp;
+  auto T = newVersion(Name, CatalogTensor::Kind::Csr, Old->Shp);
   T->Csr = std::move(Next);
   T->Stats = statsOfCsr(Name, T->Csr, Old->Shp[0], Old->Shp[1]);
   {
@@ -169,8 +160,8 @@ TensorCatalog::appendSparse(const std::string &Name,
     return 0;
   const SparseVector<double> &V = Old->Sparse;
   for (const auto &E : Delta)
-    ETCH_ASSERT(E.first >= 0 && E.first < V.Size,
-                "append coordinate out of range");
+    if (E.first < 0 || E.first >= V.Size)
+      return 0; // Client input: reject the whole batch, install nothing.
   // Canonicalize the delta, then merge the two sorted runs, dropping sums
   // that cancel to exact zero.
   std::vector<std::pair<Idx, double>> DC = canonicalizeSparse(Delta);
@@ -196,10 +187,7 @@ TensorCatalog::appendSparse(const std::string &Name,
       ++J;
     }
   }
-  auto T = std::make_shared<CatalogTensor>();
-  T->Name = Name;
-  T->K = CatalogTensor::Kind::Sparse;
-  T->Shp = Old->Shp;
+  auto T = newVersion(Name, CatalogTensor::Kind::Sparse, Old->Shp);
   T->Stats = statsOfSparseVector(Name, Next, Old->Shp[0]);
   T->Sparse = std::move(Next);
   {

@@ -117,8 +117,9 @@ public:
 
   /// COW append: merges the canonicalized \p Delta into \p Name (semiring
   /// addition on colliding coordinates, exact-zero sums dropped) and
-  /// installs the result as a new version. Returns 0 if \p Name is absent
-  /// or not of the matching kind.
+  /// installs the result as a new version. Returns 0 and installs nothing
+  /// if \p Name is absent or of another kind, or if any delta coordinate
+  /// is outside its extents (client input: the whole batch is rejected).
   uint64_t appendCsr(const std::string &Name,
                      const std::vector<CooEntry<double>> &Delta);
   uint64_t appendSparse(const std::string &Name,
@@ -131,9 +132,11 @@ public:
 
 private:
   uint64_t installLocked(std::shared_ptr<CatalogTensor> T);
+  /// Installs a whole new version built outside the writer lock.
+  uint64_t replace(std::shared_ptr<CatalogTensor> T);
 
   mutable std::mutex Mu; ///< Guards the snapshot pointer swap and stats.
-  std::mutex WriterMu;   ///< Serializes writers; builds happen under it.
+  std::mutex WriterMu;   ///< Serializes writers; appends build under it.
   CatalogSnapshotRef Snap;
   CatalogStats WriteStats;
 };

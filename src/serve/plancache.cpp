@@ -94,10 +94,3 @@ PlanCacheStats PlanCache::stats() const {
   S.Resident = Map.size();
   return S;
 }
-
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> L(Mu);
-  Map.clear();
-  Lru.clear();
-  Stats = PlanCacheStats();
-}

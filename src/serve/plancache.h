@@ -116,7 +116,6 @@ public:
   void countPlannerRun();
 
   PlanCacheStats stats() const;
-  void clear();
 
 private:
   struct Slot {

@@ -9,9 +9,8 @@
 using namespace etch;
 
 ContractionService::ContractionService(ServeOptions O)
-    : Opts(std::move(O)), Plans(Opts.PlanCacheCap), Exec(Opts.Threads) {
+    : Opts(std::move(O)), Exec(Opts.Threads) {
   IvmOptions IO;
-  IO.Prep.OptLevel = Opts.OptLevel;
   IO.Prep.UseNative = Opts.UseNative;
   IO.Prep.JitCacheDir = Opts.JitCacheDir;
   Views = std::make_unique<MaintenanceDriver>(Catalog, Plans, std::move(IO));
@@ -165,7 +164,8 @@ ContractionService::makeKey(const ServeQuery &Q, const CatalogSnapshot &Snap,
   std::vector<std::string> Names = Q.Tensors;
   std::sort(Names.begin(), Names.end());
 
-  std::string K = "alg=f64;opt=" + std::to_string(Opts.OptLevel) +
+  std::string K = "alg=f64;opt=" +
+                  std::to_string(PrepareOptions().OptLevel) +
                   ";native=" + (Opts.UseNative ? "1" : "0");
   for (const std::string &Name : Names) {
     CatalogTensorRef T = Snap.find(Name);
@@ -199,8 +199,6 @@ CachedPlanRef ContractionService::planAndCompile(const std::string &Key,
   std::vector<std::string> Names = Q.Tensors;
   std::sort(Names.begin(), Names.end());
   PrepareOptions PO;
-  PO.AllowHashed = Opts.AllowHashed;
-  PO.OptLevel = Opts.OptLevel;
   PO.UseNative = Opts.UseNative;
   PO.JitCacheDir = Opts.JitCacheDir;
   return prepareContraction(Key, Names, snapshotResolver(Snap), PO, &Plans,

@@ -70,13 +70,11 @@ struct ServeResult {
   std::string Backend;      ///< "native" or "bytecode".
 };
 
+/// Plans use the `PrepareOptions` defaults and a default-capacity cache.
 struct ServeOptions {
-  unsigned Threads = 0;      ///< Executor-pool lanes for batches (0 = hw).
-  size_t PlanCacheCap = 128;
-  bool UseNative = true;     ///< JIT when a toolchain is available.
-  std::string JitCacheDir;   ///< Kernel-cache override (tests, benches).
-  bool AllowHashed = true;   ///< Planner may choose hashed-level copies.
-  int OptLevel = 2;          ///< Pass-pipeline level for compiled plans.
+  unsigned Threads = 0;    ///< Executor-pool lanes for batches (0 = hw).
+  bool UseNative = true;   ///< JIT when a toolchain is available.
+  std::string JitCacheDir; ///< Kernel-cache override (tests, benches).
 };
 
 struct ServiceStats {
@@ -98,6 +96,8 @@ public:
 
   /// Write-through mutations: forward to the catalog, then drop cached
   /// plans reading the tensor (stale keys would only age out via LRU).
+  /// An append the catalog rejects returns 0 and has no other effect: no
+  /// plan is invalidated and no view is refreshed.
   uint64_t loadCsr(const std::string &Name, CsrMatrix<double> M, Attr Row,
                    Attr Col);
   uint64_t loadSparse(const std::string &Name, SparseVector<double> V,

@@ -18,6 +18,7 @@
 
 #include "core/eval.h"
 #include "formats/random.h"
+#include "stats_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -84,24 +85,139 @@ TEST(PlannerStats, FromTuplesCountsDistinctAndFill) {
   EXPECT_EQ(S.Levels[1].Distinct, 3);
   EXPECT_DOUBLE_EQ(S.Levels[0].AvgFill, 2.0);       // 2 rows from 1 root.
   EXPECT_DOUBLE_EQ(S.Levels[1].AvgFill, 3.0 / 2.0); // 3 entries / 2 rows.
-  EXPECT_EQ(S.shape(), (Shape{plI(), plJ()}));
-  EXPECT_EQ(S.distinctOf(plJ()), 3);
-  EXPECT_EQ(S.distinctOf(plK()), 0);
+  EXPECT_EQ(S.Levels[0].A, plI());
+  EXPECT_EQ(S.Levels[1].A, plJ());
 }
 
 TEST(PlannerStats, CsrBuilderMatchesTuples) {
+  // Every builder against the set-based oracle, on random inputs that
+  // include empty tensors, empty rows, single rows, and extents far past
+  // the entry count (the sort-unique path of the distinct count).
+  using K = LevelSpec::Kind;
+  const K D = LevelSpec::Dense, C = LevelSpec::Compressed,
+          H = LevelSpec::Hashed;
   Rng R(3);
-  auto A = randomCsr(R, 50, 40, 120);
-  TensorStats S = statsOfCsr("A", A, plI(), plJ());
-  EXPECT_EQ(S.Nnz, static_cast<int64_t>(A.nnz()));
-  EXPECT_EQ(S.Levels[0].Kind, LevelSpec::Dense);
-  EXPECT_EQ(S.Levels[1].Kind, LevelSpec::Compressed);
-  EXPECT_EQ(S.Levels[0].Extent, 50);
-  EXPECT_EQ(S.Levels[1].Extent, 40);
-  EXPECT_TRUE(S.CanTranspose);
-  // Distinct column count must match a direct computation.
-  std::set<Idx> Cols(A.Crd.begin(), A.Crd.end());
-  EXPECT_EQ(S.Levels[1].Distinct, static_cast<int64_t>(Cols.size()));
+  auto extent = [&](Idx Small) -> Idx {
+    switch (R.nextBelow(3)) {
+    case 0:
+      return Small;
+    case 1:
+      return Small * 100;
+    default:
+      return Idx(1) << 40;
+    }
+  };
+  for (int Round = 0; Round < 60; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    // CSR and DCSR over the same canonical entries.
+    {
+      const Idx Rows = R.nextBool(0.2) ? 1 : 1 + Idx(R.nextBelow(20));
+      const Idx Cols = extent(1 + Idx(R.nextBelow(30)));
+      const uint64_t Cap = std::min<uint64_t>(
+          60, static_cast<uint64_t>(Rows) * static_cast<uint64_t>(Cols));
+      const size_t Nnz = R.nextBool(0.1) ? 0 : R.nextBelow(Cap + 1);
+      auto Coo = randomCoo(R, Rows, Cols, Nnz);
+      std::vector<Tuple> Ts;
+      for (const auto &E : Coo)
+        Ts.push_back({E.Row, E.Col});
+      TensorStats Want =
+          oracleStats({plI(), plJ()}, {D, C}, {Rows, Cols}, Ts);
+      Want.CanTranspose = true;
+      expectSameStats(
+          statsOfCsr("A", CsrMatrix<double>::fromCoo(Rows, Cols, Coo), plI(),
+                     plJ()),
+          Want);
+      Want.Levels[0].Kind = C;
+      expectSameStats(
+          statsOfDcsr("A", DcsrMatrix<double>::fromCoo(Rows, Cols, Coo),
+                      plI(), plJ()),
+          Want);
+    }
+    // Sparse and hashed vectors; the hashed one accumulates repeats in
+    // arbitrary order and is frozen only sometimes.
+    {
+      const Idx N = extent(1 + Idx(R.nextBelow(40)));
+      const size_t Nnz = R.nextBelow(
+          std::min<uint64_t>(30, static_cast<uint64_t>(N)) + 1);
+      SparseVector<double> X = randomSparseVector(R, N, Nnz);
+      TensorStats Want = oracleStats({plI()}, {C}, {N}, crdTuples(X.Crd));
+      Want.CanHash = true;
+      expectSameStats(statsOfSparseVector("x", X, plI()), Want);
+
+      HashedVector<double> Hv(N);
+      std::vector<Tuple> Ts;
+      for (size_t I = 0, E = R.nextBelow(30); I < E; ++I) {
+        Idx Cd = X.Crd.empty() || R.nextBool(0.5)
+                     ? Idx(R.nextBelow(static_cast<uint64_t>(N)))
+                     : X.Crd[R.nextBelow(X.Crd.size())];
+        Hv.accumulate(Cd, 1.0);
+        Ts.push_back({Cd});
+      }
+      if (R.nextBool(0.5))
+        Hv.freeze();
+      std::set<Tuple> Unique(Ts.begin(), Ts.end());
+      Want = oracleStats({plI()}, {H}, {N}, {Unique.begin(), Unique.end()});
+      Want.CanHash = true;
+      expectSameStats(statsOfHashedVector("h", Hv, plI()), Want);
+    }
+    // Dense vectors: 0.0 and -0.0 are both absent entries.
+    {
+      DenseVector<double> X(Idx(R.nextBelow(40)));
+      std::vector<Tuple> Ts;
+      for (size_t I = 0; I < X.Val.size(); ++I) {
+        const uint64_t Pick = R.nextBelow(3);
+        X.Val[I] = Pick == 0 ? 0.0 : Pick == 1 ? -0.0 : randomValue(R);
+        if (Pick == 2)
+          Ts.push_back({static_cast<Idx>(I)});
+      }
+      expectSameStats(statsOfDenseVector("d", X, plI()),
+                      oracleStats({plI()}, {D}, {X.Size}, Ts));
+    }
+    // CSF, order 3.
+    {
+      const Idx DI = 1 + Idx(R.nextBelow(6)), DJ = 1 + Idx(R.nextBelow(6));
+      const Idx DK = R.nextBool(0.3) ? Idx(1) << 40 : 1 + Idx(R.nextBelow(8));
+      const size_t Nnz = R.nextBelow(
+          std::min<uint64_t>(50, static_cast<uint64_t>(DI * DJ) *
+                                     static_cast<uint64_t>(DK)) +
+          1);
+      auto T = randomCsf3(R, DI, DJ, DK, Nnz);
+      std::vector<Tuple> Ts;
+      for (size_t P0 = 0; P0 < T.Crd0.size(); ++P0)
+        for (size_t P1 = T.Pos0[P0]; P1 < T.Pos0[P0 + 1]; ++P1)
+          for (size_t P2 = T.Pos1[P1]; P2 < T.Pos1[P1 + 1]; ++P2)
+            Ts.push_back({T.Crd0[P0], T.Crd1[P1], T.Crd2[P2]});
+      expectSameStats(statsOfCsf3("T", T, plI(), plJ(), plK()),
+                      oracleStats({plI(), plJ(), plK()}, {C, C, C},
+                                  {DI, DJ, DK}, Ts));
+    }
+    // Raw tuples of order 1-3: unsorted, with repeats, any level kinds.
+    {
+      const size_t Order = 1 + R.nextBelow(3);
+      const std::vector<Attr> All = {plI(), plJ(), plK()};
+      std::vector<Attr> Attrs(All.begin(), All.begin() + Order);
+      std::vector<K> Kinds;
+      std::vector<int64_t> Extents;
+      for (size_t L = 0; L < Order; ++L) {
+        Kinds.push_back(L == 0 && R.nextBool(0.3) ? D : C);
+        Extents.push_back(extent(1 + Idx(R.nextBelow(5))));
+      }
+      std::vector<Tuple> Ts;
+      for (size_t I = 0, E = R.nextBelow(40); I < E; ++I) {
+        if (!Ts.empty() && R.nextBool(0.25)) {
+          Ts.push_back(Ts[R.nextBelow(Ts.size())]);
+          continue;
+        }
+        Tuple T;
+        for (size_t L = 0; L < Order; ++L)
+          T.push_back(Idx(R.nextBelow(
+              std::min<uint64_t>(6, static_cast<uint64_t>(Extents[L])))));
+        Ts.push_back(std::move(T));
+      }
+      expectSameStats(statsFromTuples("t", Attrs, Kinds, Extents, Ts),
+                      oracleStats(Attrs, Kinds, Extents, Ts));
+    }
+  }
 }
 
 TEST(PlannerStats, HashedVectorBuilderReportsHashedKind) {

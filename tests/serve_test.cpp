@@ -21,7 +21,11 @@
 //    execution on an identically-loaded service;
 //  * one executor per plan: a native plan keeps no bytecode and no bound
 //    memory, a bytecode plan keeps no native call and names why in its
-//    EXPLAIN, and the two answer bit-identically.
+//    EXPLAIN, and the two answer bit-identically;
+//  * the write path: an append with an out-of-range coordinate is
+//    rejected whole with no side effect, and every installed version's
+//    planner statistics equal a set-based oracle over its entries;
+//  * plan-cache capacity: LRU eviction that never drops a retained plan.
 //
 // The concurrency tests run under TSan in CI.
 //
@@ -31,6 +35,7 @@
 #include "serve/service.h"
 
 #include "formats/random.h"
+#include "stats_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -38,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -562,6 +568,204 @@ TEST(Serve, BytecodeServiceMatchesNativeServiceBitForBit) {
   }
   compare("after writes");
   EXPECT_EQ(Bytecode->stats().NativeRuns, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Write path
+//===----------------------------------------------------------------------===//
+
+TEST(Serve, OutOfRangeAppendIsRejectedWithoutSideEffects) {
+  // A batch with any coordinate outside the tensor's extents is client
+  // error: the append returns 0 and installs nothing, so no plan is
+  // invalidated and no view refreshes.
+  ServeData Data;
+  ScopedService Svc("bad-append", Data);
+  std::string Err;
+  ASSERT_TRUE(Svc->registerView("spmv", ServeQuery{{"A", "x"}}, &Err)) << Err;
+  ASSERT_TRUE(Svc->registerView("xx", ServeQuery{{"x", "x"}}, &Err)) << Err;
+  const ServeQuery Q{{"A", "x"}};
+  ServeResult Before = Svc->query(Q);
+  ASSERT_TRUE(Before.Ok) << Before.Error;
+  const uint64_t Epoch = Svc->snapshot()->epoch();
+  const uint64_t Batches = Svc->viewStats().Batches;
+  std::map<std::string, ViewReading> Views;
+  for (const char *View : {"spmv", "xx"}) {
+    auto Rd = Svc->readView(View);
+    ASSERT_TRUE(Rd && Rd->Ok);
+    Views[View] = *Rd;
+  }
+  auto unchanged = [&](const char *What) {
+    SCOPED_TRACE(What);
+    EXPECT_EQ(Svc->snapshot()->epoch(), Epoch);
+    EXPECT_EQ(Svc->viewStats().Batches, Batches);
+    ServeResult R = Svc->query(Q);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_TRUE(R.PlanCacheHit);
+    EXPECT_TRUE(sameBits(R.Value, Before.Value));
+    for (const auto &[View, Was] : Views) {
+      auto Rd = Svc->readView(View);
+      ASSERT_TRUE(Rd && Rd->Ok);
+      EXPECT_EQ(Rd->Epoch, Was.Epoch) << View;
+      EXPECT_TRUE(sameBits(Rd->Value, Was.Value)) << View;
+    }
+  };
+
+  const Idx C = Data.X.Crd[0];
+  for (const std::vector<CooEntry<double>> &Bad :
+       std::vector<std::vector<CooEntry<double>>>{
+           {{0, C, 1.0}, {30, C, 1.0}}, // Row past the last.
+           {{-1, C, 1.0}},
+           {{0, C, 1.0}, {0, 40, 1.0}}, // Column past the last.
+           {{0, -1, 1.0}}})
+    EXPECT_EQ(Svc->appendCsr("A", Bad), 0u);
+  unchanged("after bad CSR batches");
+  for (const std::vector<std::pair<Idx, double>> &Bad :
+       std::vector<std::vector<std::pair<Idx, double>>>{
+           {{C, 1.0}, {40, 1.0}}, {{-1, 1.0}}})
+    EXPECT_EQ(Svc->appendSparse("x", Bad), 0u);
+  unchanged("after bad sparse batches");
+
+  // The next valid batches land, and the view folds them in.
+  EXPECT_EQ(Svc->appendCsr("A", {{0, C, 1.0}}), Epoch + 1);
+  EXPECT_EQ(Svc->appendSparse("x", {{C, 1.0}}), Epoch + 2);
+  ServeResult After = Svc->query(Q);
+  ASSERT_TRUE(After.Ok) << After.Error;
+  EXPECT_FALSE(After.PlanCacheHit);
+  CatalogSnapshotRef Snap = Svc->snapshot();
+  EXPECT_NEAR(After.Value,
+              refSpmv(Snap->find("A")->Csr, Snap->find("x")->Sparse), 1e-9);
+  auto Rd = Svc->readView("spmv");
+  ASSERT_TRUE(Rd && Rd->Ok);
+  EXPECT_EQ(Rd->Epoch, Epoch + 2);
+  EXPECT_NEAR(Rd->Value, After.Value, 1e-9);
+}
+
+TEST(Serve, CatalogStatsMatchOracleAfterRandomWrites) {
+  // Every installed version's planner statistics equal the set-based
+  // oracle over its stored entries, through appends that add, bump and
+  // cancel entries (emptying rows) and deletions of present and absent
+  // coordinates.
+  ServeData Data;
+  ScopedService Svc("stats-oracle", Data);
+  auto check = [&] {
+    CatalogSnapshotRef Snap = Svc->snapshot();
+    CatalogTensorRef A = Snap->find("A");
+    TensorStats WantA =
+        oracleStats({SI(), SJ()}, {LevelSpec::Dense, LevelSpec::Compressed},
+                    {A->Csr.NumRows, A->Csr.NumCols}, csrTuples(A->Csr));
+    WantA.CanTranspose = true;
+    expectSameStats(A->Stats, WantA);
+    CatalogTensorRef X = Snap->find("x");
+    TensorStats WantX = oracleStats({SJ()}, {LevelSpec::Compressed},
+                                    {X->Sparse.Size}, crdTuples(X->Sparse.Crd));
+    WantX.CanHash = true;
+    expectSameStats(X->Stats, WantX);
+  };
+  Rng R(41);
+  for (int Step = 0; Step < 80; ++Step) {
+    SCOPED_TRACE("step " + std::to_string(Step));
+    CatalogSnapshotRef Snap = Svc->snapshot();
+    const CsrMatrix<double> &A = Snap->find("A")->Csr;
+    const SparseVector<double> &X = Snap->find("x")->Sparse;
+    switch (R.nextBelow(4)) {
+    case 0: { // Append: fresh coordinates, bumps, and exact cancellations.
+      std::vector<CooEntry<double>> Delta;
+      for (size_t I = 0, E = 1 + R.nextBelow(12); I < E; ++I) {
+        if (!A.Crd.empty() && R.nextBool(0.4)) {
+          const size_t Q = R.nextBelow(A.Crd.size());
+          const Idx Row = static_cast<Idx>(
+              std::upper_bound(A.Pos.begin(), A.Pos.end(), Q) - A.Pos.begin() -
+              1);
+          Delta.push_back({Row, A.Crd[Q], -A.Val[Q]});
+        } else {
+          Delta.push_back({Idx(R.nextBelow(30)), Idx(R.nextBelow(40)),
+                           randomValue(R)});
+        }
+      }
+      ASSERT_NE(Svc->appendCsr("A", Delta), 0u);
+      break;
+    }
+    case 1: { // Delete: whole rows at a time, plus absent coordinates.
+      std::vector<std::pair<Idx, Idx>> Coords;
+      const Idx Row = Idx(R.nextBelow(30));
+      for (Idx Col = 0; Col < 40; ++Col)
+        if (R.nextBool(0.7))
+          Coords.push_back({Row, Col});
+      ASSERT_NE(Svc->deleteCsr("A", Coords), 0u);
+      break;
+    }
+    case 2: {
+      std::vector<std::pair<Idx, double>> Delta;
+      for (size_t I = 0, E = 1 + R.nextBelow(6); I < E; ++I) {
+        if (!X.Crd.empty() && R.nextBool(0.4)) {
+          const size_t Q = R.nextBelow(X.Crd.size());
+          Delta.push_back({X.Crd[Q], -X.Val[Q]});
+        } else {
+          Delta.push_back({Idx(R.nextBelow(40)), randomValue(R)});
+        }
+      }
+      ASSERT_NE(Svc->appendSparse("x", Delta), 0u);
+      break;
+    }
+    default: {
+      std::vector<Idx> Coords;
+      for (size_t I = 0, E = 1 + R.nextBelow(10); I < E; ++I)
+        Coords.push_back(Idx(R.nextBelow(40)));
+      ASSERT_NE(Svc->deleteSparse("x", Coords), 0u);
+      break;
+    }
+    }
+    check();
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Plan-cache capacity
+//===----------------------------------------------------------------------===//
+
+TEST(Serve, PlanCacheEvictsLeastRecentNonRetainedPlans) {
+  PlanCache Cache(2);
+  auto plan = [](const std::string &Key, bool Retain) {
+    auto P = std::make_shared<CachedPlan>();
+    P->Key = Key;
+    P->Retain = Retain;
+    return P;
+  };
+  // Note that a hit refreshes the key's recency.
+  auto resident = [&](const std::string &Key) {
+    return Cache.lookup(Key) != nullptr;
+  };
+
+  Cache.insert(plan("a", false));
+  Cache.insert(plan("b", false));
+  EXPECT_EQ(Cache.stats().Resident, 2u);
+  EXPECT_EQ(Cache.stats().Evictions, 0u);
+
+  // A lookup makes "a" the most recent, so "b" is the one evicted.
+  ASSERT_TRUE(Cache.lookup("a"));
+  Cache.insert(plan("c", false));
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(Cache.stats().Resident, 2u);
+  EXPECT_FALSE(resident("b"));
+  EXPECT_TRUE(resident("a"));
+  EXPECT_TRUE(resident("c"));
+
+  // Retained plans push out the non-retained ones, least recent first ...
+  Cache.insert(plan("r1", true));
+  EXPECT_FALSE(resident("a"));
+  Cache.insert(plan("r2", true));
+  EXPECT_FALSE(resident("c"));
+  EXPECT_EQ(Cache.stats().Evictions, 3u);
+  // ... but are never evicted themselves: a third one rides above the cap,
+  // and a non-retained plan inserted now is the only candidate.
+  Cache.insert(plan("r3", true));
+  EXPECT_EQ(Cache.stats().Resident, 3u);
+  Cache.insert(plan("d", false));
+  EXPECT_EQ(Cache.stats().Evictions, 4u);
+  EXPECT_EQ(Cache.stats().Resident, 3u);
+  for (const char *Key : {"r1", "r2", "r3"})
+    EXPECT_TRUE(resident(Key)) << Key;
+  EXPECT_FALSE(resident("d"));
 }
 
 } // namespace

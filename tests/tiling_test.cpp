@@ -83,8 +83,10 @@ PlanQuery matmulQuery(const CsrMatrix<double> &A, const CsrMatrix<double> &B) {
 }
 
 bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  // Empty vectors may hold null data, which memcmp must not receive.
   return A.size() == B.size() &&
-         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+         (A.empty() ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
 }
 
 bool sameCsr(const CsrMatrix<double> &A, const CsrMatrix<double> &B) {
